@@ -144,11 +144,7 @@ def cmd_rademacher(args) -> int:
 
 
 def _constants_from_args(args) -> bd.ConstantSet:
-    if args.config:
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-        if parser.read(args.config) and "constants" in parser:
-            return bd.ConstantSet.from_config(dict(parser["constants"]))
-    return bd.ConstantSet()
+    return ex.parse_constants(args.config) if args.config else bd.ConstantSet()
 
 
 def _require(args, names: tuple) -> None:

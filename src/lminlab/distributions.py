@@ -234,11 +234,6 @@ def sample_matrix(spec: DistributionSpec, m: int, rng: np.random.Generator | int
     raise InvalidParameterError(f"unknown family {fam!r}")  # pragma: no cover
 
 
-def sample_vector(spec: DistributionSpec, rng: np.random.Generator | int | None = None) -> np.ndarray:
-    """One draw of X (length n)."""
-    return sample_matrix(spec, 1, rng)[0]
-
-
 # ---------------------------------------------------------------------------
 # analytic marginals (coordinate direction)
 # ---------------------------------------------------------------------------

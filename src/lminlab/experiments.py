@@ -5,16 +5,20 @@ N is derived from the aspect ratio by N = ceil(n/beta) so n/N <= beta holds
 exactly.  Every trial draws from the substream keyed by (master seed,
 beta index, trial index); auxiliary per-beta estimates (small-ball summary,
 Rademacher estimate) use trial indices >= trials so they never collide.
-Aggregation is a sequential reduce in fixed index order, which makes sweep
-output byte-identical regardless of worker count.
+Aggregation is a sequential reduce in fixed index order, and every loaded
+OpenBLAS is pinned to one thread while a sweep runs, which makes sweep output
+byte-identical regardless of worker count and BLAS thread count.
 """
 
 from __future__ import annotations
 
 import configparser
 import csv
+import ctypes
 import json
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -211,15 +215,115 @@ def _regime_for_spec(spec: dist.DistributionSpec) -> tuple[str, float]:
     return "eta-gt-2", math.inf
 
 
+# ---------------------------------------------------------------------------
+# BLAS thread pinning
+# ---------------------------------------------------------------------------
+
+
+class _DlPhdrInfo(ctypes.Structure):
+    # leading fields of struct dl_phdr_info; only the name is read
+    _fields_ = [("dlpi_addr", ctypes.c_void_p), ("dlpi_name", ctypes.c_char_p)]
+
+
+_PHDR_CALLBACK = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.POINTER(_DlPhdrInfo), ctypes.c_size_t, ctypes.c_void_p)
+
+# (getter, setter) symbol pairs: the scipy-openblas wheels (64-bit-index build
+# bundled with numpy, 32-bit one with scipy) and a plain OpenBLAS.
+_OPENBLAS_SYMBOLS = tuple(
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas")
+    for suffix in ("64_", "")
+)
+
+
+def _loaded_libraries() -> list[str]:
+    """Paths of the shared libraries loaded in this process (empty where the
+    C library has no ``dl_iterate_phdr``)."""
+    try:
+        iterate = ctypes.CDLL(None).dl_iterate_phdr
+    except (OSError, TypeError, AttributeError):
+        return []
+    iterate.argtypes = [_PHDR_CALLBACK, ctypes.c_void_p]
+    iterate.restype = ctypes.c_int
+    paths = []
+
+    def collect(info, size, data):
+        if info.contents.dlpi_name:
+            paths.append(os.fsdecode(info.contents.dlpi_name))
+        return 0
+
+    iterate(_PHDR_CALLBACK(collect), None)
+    return paths
+
+
+def _openblas_controls() -> list:
+    """(get_num_threads, set_num_threads) of every loaded OpenBLAS library."""
+    controls = []
+    for path in _loaded_libraries():
+        if "openblas" not in os.path.basename(path).lower():
+            continue
+        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+class _SingleThreadedBlas:
+    """Context manager pinning every loaded OpenBLAS to one thread.
+
+    The sweep pool is the only source of parallelism while it is held: a
+    threaded BLAS under a thread pool oversubscribes the cores, and its
+    reductions change in the last ulp with its thread count.  Thread counts
+    are process state, so overlapping holders share one pin: the first to
+    enter saves the counts, the last to leave restores them, also when the
+    body raises.  Without a control symbol (a non-OpenBLAS build) it does
+    nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = ()
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = tuple((set_, get()) for get, set_ in _openblas_controls())
+                for set_, _ in self._saved:
+                    set_(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for set_, count in self._saved:
+                    set_(count)
+
+
+_single_threaded_blas = _SingleThreadedBlas()
+
+
 def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
     """Execute the sweep: trials (parallelizable), per-beta aggregation,
     floor predictions, and an exponent fit when enough grid points allow.
 
     A trial that raises is recorded in ``failures`` and excluded from
-    aggregation; the sweep continues.
+    aggregation; the sweep continues.  BLAS runs single-threaded for the
+    duration of the call and gets its previous thread counts back on return.
     """
     if threads < 1:
         raise InvalidParameterError(f"threads must be >= 1, got {threads}")
+    with _single_threaded_blas:
+        return _run_sweep(cfg, threads)
+
+
+def _run_sweep(cfg: ExperimentConfig, threads: int) -> SweepResult:
     tasks = [(b, t) for b in range(len(cfg.beta_grid)) for t in range(cfg.trials)]
     results: dict[tuple[int, int], TrialRow] = {}
     failures: list[str] = []
@@ -333,14 +437,38 @@ _SWEEP_KEYS = {"beta_grid", "trials", "seed"}
 _OUTPUT_KEYS = {"rows", "summary", "result"}
 
 
+def _read_config(path) -> configparser.ConfigParser:
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
+    if not read:
+        raise ConfigError(f"cannot read config file {path}")
+    return parser
+
+
+def _constants_section(parser: configparser.ConfigParser) -> bd.ConstantSet:
+    if "constants" not in parser:
+        return bd.ConstantSet()
+    try:
+        return bd.ConstantSet.from_config(dict(parser["constants"]))
+    except (InvalidParameterError, ValueError) as exc:
+        raise ConfigError(f"bad [constants] section: {exc}") from exc
+
+
+def parse_constants(path) -> bd.ConstantSet:
+    """The [constants] section of a config file, all defaults when the
+    section is absent; an unreadable file or a bad value raises
+    ``ConfigError``."""
+    return _constants_section(_read_config(path))
+
+
 def parse_config(path) -> ExperimentConfig:
     """Plain-text config: [distribution] and [sweep] sections required,
     [constants] and [outputs] optional.  Unknown sections or keys are
     rejected."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
+    parser = _read_config(path)
     known = {"distribution", "sweep", "constants", "outputs"}
     unknown = set(parser.sections()) - known
     if unknown:
@@ -367,12 +495,7 @@ def parse_config(path) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"bad [sweep] value: {exc}") from exc
 
-    constants = bd.ConstantSet()
-    if "constants" in parser:
-        try:
-            constants = bd.ConstantSet.from_config(dict(parser["constants"]))
-        except (InvalidParameterError, ValueError) as exc:
-            raise ConfigError(f"bad [constants] section: {exc}") from exc
+    constants = _constants_section(parser)
 
     outputs = OutputPaths()
     if "outputs" in parser:

@@ -21,6 +21,7 @@ from .streams import SeedRecord
 
 _MAGIC = b"SMAT"
 _VERSION = 1
+_HEADER = struct.Struct("<IQQQQQ")  # after the magic: version, N, n, seed fields
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,7 @@ class SampleMatrix:
         """Binary layout: magic, u32 version, u64 N, u64 n, 3 x u64 seed
         fields (master, beta_index, trial_index), then row-major float64,
         all little-endian."""
-        header = _MAGIC + struct.pack(
-            "<IQQQQQ",
+        header = _MAGIC + _HEADER.pack(
             _VERSION,
             self.N,
             self.n,
@@ -63,14 +63,26 @@ class SampleMatrix:
 
     @classmethod
     def load(cls, path) -> "SampleMatrix":
+        """Read a file written by ``save``; a bad magic or version, a
+        truncated header or body, or trailing bytes raise
+        ``InvalidInputError``."""
         with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _MAGIC:
-                raise InvalidInputError(f"bad magic {magic!r}")
-            version, N, n, master, bidx, tidx = struct.unpack("<IQQQQQ", fh.read(4 + 5 * 8))
-            if version != _VERSION:
-                raise InvalidInputError(f"unsupported version {version}")
-            data = np.frombuffer(fh.read(N * n * 8), dtype="<f8").reshape(N, n)
+            blob = fh.read()
+        magic = blob[: len(_MAGIC)]
+        if magic != _MAGIC:
+            raise InvalidInputError(f"bad magic {magic!r}")
+        offset = len(_MAGIC) + _HEADER.size
+        if len(blob) < offset:
+            raise InvalidInputError(f"truncated header: {len(blob)} bytes, need {offset}")
+        version, N, n, master, bidx, tidx = _HEADER.unpack_from(blob, len(_MAGIC))
+        if version != _VERSION:
+            raise InvalidInputError(f"unsupported version {version}")
+        body = len(blob) - offset
+        if body != N * n * 8:
+            raise InvalidInputError(
+                f"body holds {body} bytes, a {N}x{n} float64 matrix needs {N * n * 8}"
+            )
+        data = np.frombuffer(blob, dtype="<f8", offset=offset).reshape(N, n)
         record = SeedRecord(master=master, beta_index=bidx, trial_index=tidx)
         return cls(N=int(N), n=int(n), values=data.astype(float), seed=record)
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from lminlab import cli
 from lminlab import spectrum as sp
 
@@ -105,3 +107,25 @@ def test_bounds_missing_flags_graceful(capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "--eta" in err and "--beta" in err
+
+
+def test_bounds_unreadable_config(tmp_path, capsys):
+    missing = tmp_path / "missing.ini"
+    rc = cli.main(["bounds", "--regime", "tail", "--eta", "3", "--beta", "0.1", "--N", "1000", "--config", str(missing)])
+    assert rc == 2
+    assert "cannot read config file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [lambda b: b[:30], lambda b: b[:-1], lambda b: b + b"\x00" * 8],
+    ids=["truncated-header", "truncated-body", "trailing-bytes"],
+)
+def test_spectrum_malformed_matrix_exits_2(tmp_path, capsys, mangle):
+    matrix = tmp_path / "m.bin"
+    assert cli.main(["sample", "--family", "gaussian-iid", "--n", "4", "--N", "8", "--out", str(matrix)]) == 0
+    matrix.write_bytes(mangle(matrix.read_bytes()))
+    capsys.readouterr()
+    rc = cli.main(["spectrum", "--matrix", str(matrix)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -1,10 +1,19 @@
 """Tests for the sweep harness, config parsing, exponent fitting, and the
 verification suite."""
 
+import hashlib
+import itertools
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import lminlab
 
 from lminlab import bounds as bd
 from lminlab import distributions as dist
@@ -66,6 +75,100 @@ def test_run_sweep_deterministic_across_threads(tmp_path):
     r1.summary_csv(s1)
     r8.summary_csv(s8)
     assert s1.read_bytes() == s8.read_bytes()
+
+
+def test_sweep_output_independent_of_blas_and_pool_threads(tmp_path):
+    """Seeded sweep CSVs hash the same for every OPENBLAS_NUM_THREADS and
+    --threads; each run is a fresh process because OpenBLAS reads the
+    variable when it loads."""
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(
+        "[distribution]\nfamily = gaussian-iid\nn = 100\n\n"
+        "[sweep]\nbeta_grid = 0.0625 0.25\ntrials = 20\nseed = 20260809\n"
+    )
+    src = str(Path(lminlab.__file__).resolve().parents[1])
+    hashes = {}
+    for blas, pool in itertools.product(("1", "2"), ("1", "2")):
+        prefix = tmp_path / f"blas{blas}-pool{pool}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "lminlab.cli", "sweep", "--config", str(cfg), "--threads", pool, "--out", str(prefix)],
+            env=env,
+            check=True,
+            capture_output=True,
+            timeout=300,
+        )
+        digest = hashlib.sha256()
+        for suffix in (".rows.csv", ".summary.csv"):
+            digest.update(Path(f"{prefix}{suffix}").read_bytes())
+        hashes[(blas, pool)] = digest.hexdigest()
+    assert len(set(hashes.values())) == 1, hashes
+
+
+@pytest.fixture
+def blas_two_threads():
+    """Every loaded OpenBLAS at two threads for the test, restored after."""
+    controls = ex._openblas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control in this numpy/scipy build")
+    saved = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(2)
+    yield [get for get, _ in controls]
+    for (_, set_), count in zip(controls, saved):
+        set_(count)
+
+
+def test_run_sweep_pins_blas_and_restores(monkeypatch, blas_two_threads):
+    getters = blas_two_threads
+    seen = []
+    real_trial = ex._trial
+
+    def observed(cfg, beta_index, trial_index):
+        seen.extend(get() for get in getters)
+        if trial_index == 1:
+            raise RuntimeError("synthetic numerical failure")
+        return real_trial(cfg, beta_index, trial_index)
+
+    monkeypatch.setattr(ex, "_trial", observed)
+    r = ex.run_sweep(small_config(), threads=2)
+    assert len(r.failures) == 2
+    assert seen and set(seen) == {1}
+    assert [get() for get in getters] == [2] * len(getters)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("synthetic aggregation failure")
+
+    monkeypatch.setattr(bd, "floor_regime", broken)
+    with pytest.raises(RuntimeError, match="aggregation"):
+        ex.run_sweep(small_config(), threads=1)
+    assert [get() for get in getters] == [2] * len(getters)
+
+
+def test_overlapping_sweeps_share_one_pin(blas_two_threads):
+    """A sweep that ends while another is running leaves BLAS pinned; the
+    last one to end restores the counts."""
+    getters = blas_two_threads
+    pin = ex._single_threaded_blas
+    b_inside, a_left = threading.Event(), threading.Event()
+    seen = []
+
+    def sweep_b():
+        with pin:
+            b_inside.set()
+            a_left.wait(30)
+            seen.append([get() for get in getters])
+
+    worker = threading.Thread(target=sweep_b)
+    with pin:
+        worker.start()
+        assert b_inside.wait(30)
+    a_left.set()
+    worker.join(30)
+    assert not worker.is_alive()
+    assert seen == [[1] * len(getters)]
+    assert [get() for get in getters] == [2] * len(getters)
 
 
 def test_run_sweep_repeat_bit_identical():
@@ -131,6 +234,7 @@ def test_parse_config_roundtrip(tmp_path):
     assert cfg.beta_grid == (0.5, 0.25)
     assert cfg.trials == 4 and cfg.seed == 11
     assert cfg.constants.c2 == 1.25
+    assert ex.parse_constants(path) == cfg.constants
     assert cfg.outputs.rows == "rows.csv"
 
     out = tmp_path / "copy.ini"
@@ -152,6 +256,12 @@ def test_parse_config_rejects_unknown(tmp_path):
         ex.parse_config(bad2)
     with pytest.raises(ConfigError):
         ex.parse_config(tmp_path / "missing.ini")
+    with pytest.raises(ConfigError):
+        ex.parse_constants(tmp_path / "missing.ini")
+    no_header = tmp_path / "no_header.ini"
+    no_header.write_text("family = gaussian-iid\n")
+    with pytest.raises(ConfigError):
+        ex.parse_config(no_header)
 
 
 def test_degradation_ordering_atomic_mixture():

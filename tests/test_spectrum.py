@@ -147,6 +147,25 @@ def test_load_rejects_bad_magic(tmp_path):
         sp.SampleMatrix.load(path)
 
 
+def _saved_bytes(tmp_path):
+    m = sp.assemble(dist.DistributionSpec("gaussian-iid", 3), 5, SeedRecord(1, 0, 0))
+    path = tmp_path / "m.bin"
+    m.save(path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [lambda b: b[:20], lambda b: b[:-8], lambda b: b + b"\x00"],
+    ids=["truncated-header", "truncated-body", "trailing-bytes"],
+)
+def test_load_rejects_wrong_length(tmp_path, mangle):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(mangle(_saved_bytes(tmp_path)))
+    with pytest.raises(InvalidInputError):
+        sp.SampleMatrix.load(path)
+
+
 def test_assemble_validates_n():
     spec = dist.DistributionSpec("gaussian-iid", 3)
     with pytest.raises(InvalidParameterError):
