@@ -8,7 +8,6 @@ by every subcommand.
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import json
 import sys
@@ -21,7 +20,7 @@ from . import experiments as ex
 from . import rademacher as rad
 from . import smallball as sb
 from . import spectrum as sp
-from .errors import ConfigError, LminlabError
+from .errors import ConfigError, InvalidInputError, LminlabError
 
 
 def _global_flags(p: argparse.ArgumentParser) -> None:
@@ -53,12 +52,7 @@ def _emit(pairs: dict, args) -> None:
 
 def _spec_from_args(args) -> dist.DistributionSpec:
     if args.config:
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-        if not parser.read(args.config):
-            raise ConfigError(f"cannot read config file {args.config}")
-        if "distribution" not in parser:
-            raise ConfigError("config lacks a [distribution] section")
-        return dist.spec_from_config(dict(parser["distribution"]))
+        return ex.parse_spec(args.config)
     if args.family is None or args.n is None:
         raise ConfigError("need --family and --n (or --config)")
     return dist.DistributionSpec(
@@ -212,7 +206,11 @@ def cmd_verify(args) -> int:
 
 def cmd_fit(args) -> int:
     rows = []
-    with open(args.rows, newline="") as fh:
+    try:
+        fh = open(args.rows, newline="")
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read rows file {args.rows}: {exc.strerror}") from exc
+    with fh:
         reader = csv.DictReader(fh)
         cols = reader.fieldnames or []
         if "beta" not in cols or "deficit" not in cols:

@@ -9,10 +9,11 @@ Contents:
 - net-based deviation estimates for the dyadic superlevel classes;
 - the four-term VC deviation formula;
 - a brute-force VC shattering checker at tiny dimension;
-- an exhaustive tiny-instance oracle that enumerates every sample tuple and
-  every sign vector of a finite probability space, with exact rational
-  probability arithmetic, and compares the exact success probability of the
-  small-ball floor event against its predicted bound.
+- an exhaustive tiny-instance oracle that enumerates every sample multiset
+  and every sign vector of a finite probability space, with exact rational
+  probability arithmetic and an exactly decided event, and compares the
+  exact success probability of the small-ball floor event against its
+  predicted bound.
 """
 
 from __future__ import annotations
@@ -371,6 +372,8 @@ class FiniteInstance:
         for f in self.functions:
             if len(f) != len(self.probs):
                 raise InvalidParameterError("each function needs one value per atom")
+            if not all(math.isfinite(v) for v in f):
+                raise InvalidParameterError("function values must be finite")
         if not (1 <= self.N <= _ORACLE_MAX_N):
             raise InvalidParameterError(f"need 1 <= N <= {_ORACLE_MAX_N}, got {self.N}")
 
@@ -418,12 +421,16 @@ class OracleReport:
 def tiny_smallball_oracle(inst: FiniteInstance, tau: float) -> OracleReport:
     """Exhaustive verification of the small-ball floor on a finite instance.
 
-    Enumerates all |atoms|^N sample tuples with exact rational probabilities
+    Every quantity below is invariant under reordering a sample tuple (a
+    permutation of the tuple permutes the sign vectors), so the oracle
+    enumerates the C(N+k-1, N) multisets of N draws from the k atoms, each
+    weighted by the exact probability of its multinomial-many ordered tuples,
     and all 2^N sign vectors, producing:
 
     - Q(2 tau): min over functions of the exact atom mass with |f| >= 2 tau;
     - the exact Rademacher average over tuples and sign vectors;
-    - the exact probability of {min_f P_N f^2 >= tau^2 Q(2 tau)/2};
+    - the exact probability of {min_f P_N f^2 >= tau^2 Q(2 tau)/2}, with the
+      event decided in exact rational arithmetic on the float inputs;
     - the predicted success bound 1 - 2 exp(-Q(2 tau)^2 N / 8);
     - a verdict: when the applicability condition R_N <= tau Q(2 tau)/16
       holds, exact probability >= bound must hold ("holds"/"violated"),
@@ -451,35 +458,37 @@ def tiny_smallball_oracle(inst: FiniteInstance, tau: float) -> OracleReport:
         q2tau = min(q2tau, mass)
     floor = tau**2 * float(q2tau) / 2.0
 
-    # All sample tuples as mixed-radix atom indices.
-    T = (np.arange(n_tuples, dtype=np.int64)[:, None] // (n_atoms ** np.arange(N, dtype=np.int64))) % n_atoms
+    # One sorted atom-index tuple per multiset; counts[c, a] is the
+    # multiplicity of atom a in multiset c.
+    classes = np.array(list(itertools.combinations_with_replacement(range(n_atoms), N)), dtype=np.int64)
+    counts = (classes[:, :, None] == np.arange(n_atoms)).sum(axis=1)
 
-    # Exact tuple probabilities as integers over a common denominator D^N.
+    # Exact multiset probabilities as integers over a common denominator D^N:
+    # multinomial(N; counts) prod_a w_a^c_a, each term at most D^N.
     denom = math.lcm(*(p.denominator for p in inst.probs))
     if denom ** N >= (1 << 62):
         raise BudgetExceededError(f"probability denominator {denom}^{N} too large for exact sums")
     weights = np.array([int(p * denom) for p in inst.probs], dtype=np.int64)
-    tuple_num = np.prod(weights[T], axis=1, dtype=np.int64)  # sums to denom**N
+    fact = np.array([math.factorial(k) for k in range(N + 1)], dtype=np.int64)
+    multinomial = fact[N] // np.prod(fact[counts], axis=1)
+    class_num = multinomial * np.prod(weights[classes], axis=1)  # sums to denom**N
 
-    # Event {min_f P_N f^2 >= floor}.
-    vals = F[:, T]  # (nf, n_tuples, N)
-    pn_sq = (vals**2).mean(axis=2)  # (nf, n_tuples)
-    success = np.all(pn_sq >= floor, axis=0)
-    exact_prob = Fraction(int(tuple_num[success].sum()), denom**N)
+    # Event {min_f P_N f^2 >= tau^2 Q(2 tau)/2}, decided exactly.  Every float
+    # is m/2^k, so over the common denominator 2^e of the squares, with
+    # f_a^2 = sq[f, a]/2^e and tau^2 = t_sq/2^e, the event for a multiset
+    # reads 2 den(Q) sum_a c_a sq[f, a] >= N num(Q) t_sq in integers.
+    ratios = [v.as_integer_ratio() for v in F.flat] + [float(tau).as_integer_ratio()]
+    den_sq = max(d for _, d in ratios) ** 2
+    scaled = [m * m * (den_sq // (d * d)) for m, d in ratios]
+    sq = np.array(scaled[:-1], dtype=object).reshape(F.shape)
+    lhs = 2 * q2tau.denominator * (counts.astype(object) @ sq.T)  # (n_classes, nf)
+    success = np.all(lhs >= N * q2tau.numerator * scaled[-1], axis=1)
+    exact_prob = Fraction(int(class_num[success].sum()), denom**N)
 
     # Exact Rademacher average: E_tuple E_sign max_f |sum_i eps_i f(x_i)| / N.
     signs = _all_sign_vectors(N)  # (2^N, N)
-    tuple_prob = tuple_num / float(denom**N)
-    r_n = 0.0
-    chunk = max(1, _ORACLE_BUDGET // (8 * (1 << N) * len(inst.functions)))
-    for start in range(0, n_tuples, chunk):
-        sl = slice(start, min(start + chunk, n_tuples))
-        sup = None
-        for fi in range(len(inst.functions)):
-            a = np.abs(vals[fi, sl] @ signs.T)  # (chunk, 2^N)
-            sup = a if sup is None else np.maximum(sup, a)
-        r_n += float((tuple_prob[sl] * sup.mean(axis=1)).sum())
-    r_n /= N
+    sup = np.abs(F[:, classes] @ signs.T).max(axis=0)  # (n_classes, 2^N)
+    r_n = float((class_num / float(denom**N)) @ sup.mean(axis=1)) / N
 
     hypothesis_ok = r_n <= tau * float(q2tau) / 16.0
     bound = 1.0 - 2.0 * math.exp(-float(q2tau) ** 2 * N / 8.0)

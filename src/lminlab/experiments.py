@@ -314,8 +314,10 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
     floor predictions, and an exponent fit when enough grid points allow.
 
     A trial that raises is recorded in ``failures`` and excluded from
-    aggregation; the sweep continues.  BLAS runs single-threaded for the
-    duration of the call and gets its previous thread counts back on return.
+    aggregation; the sweep continues.  Trials run on at most
+    ``min(threads, os.cpu_count())`` workers.  BLAS runs single-threaded for
+    the duration of the call and gets its previous thread counts back on
+    return.
     """
     if threads < 1:
         raise InvalidParameterError(f"threads must be >= 1, got {threads}")
@@ -335,10 +337,11 @@ def _run_sweep(cfg: ExperimentConfig, threads: int) -> SweepResult:
         except Exception as exc:  # noqa: BLE001 - per-trial isolation is the contract
             return key, None, f"beta_index={b} trial={t}: {exc!r}"
 
-    if threads == 1:
+    workers = min(threads, os.cpu_count() or 1)
+    if workers == 1:
         outcomes = map(run_one, tasks)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_one, tasks))
     for key, row, err in outcomes:
         if err is None:
@@ -457,6 +460,21 @@ def _constants_section(parser: configparser.ConfigParser) -> bd.ConstantSet:
         raise ConfigError(f"bad [constants] section: {exc}") from exc
 
 
+def _distribution_section(parser: configparser.ConfigParser) -> dist.DistributionSpec:
+    if "distribution" not in parser:
+        raise ConfigError("config lacks a [distribution] section")
+    try:
+        return dist.spec_from_config(dict(parser["distribution"]))
+    except ValueError as exc:
+        raise ConfigError(f"bad [distribution] section: {exc}") from exc
+
+
+def parse_spec(path) -> dist.DistributionSpec:
+    """The [distribution] section of a config file; an unreadable file, a
+    missing section or a bad value raises ``ConfigError``."""
+    return _distribution_section(_read_config(path))
+
+
 def parse_constants(path) -> bd.ConstantSet:
     """The [constants] section of a config file, all defaults when the
     section is absent; an unreadable file or a bad value raises
@@ -476,10 +494,7 @@ def parse_config(path) -> ExperimentConfig:
     if "distribution" not in parser or "sweep" not in parser:
         raise ConfigError("config requires [distribution] and [sweep] sections")
 
-    try:
-        spec = dist.spec_from_config(dict(parser["distribution"]))
-    except (InvalidParameterError, ValueError) as exc:
-        raise ConfigError(f"bad [distribution] section: {exc}") from exc
+    spec = _distribution_section(parser)
 
     sweep = dict(parser["sweep"])
     unknown = set(sweep) - _SWEEP_KEYS

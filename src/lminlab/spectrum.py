@@ -65,9 +65,12 @@ class SampleMatrix:
     def load(cls, path) -> "SampleMatrix":
         """Read a file written by ``save``; a bad magic or version, a
         truncated header or body, or trailing bytes raise
-        ``InvalidInputError``."""
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        ``InvalidInputError``, and so does a file that cannot be read."""
+        try:
+            with open(path, "rb") as fh:
+                blob = fh.read()
+        except OSError as exc:
+            raise InvalidInputError(f"cannot read matrix file {path}: {exc.strerror}") from exc
         magic = blob[: len(_MAGIC)]
         if magic != _MAGIC:
             raise InvalidInputError(f"bad magic {magic!r}")

@@ -129,3 +129,22 @@ def test_spectrum_malformed_matrix_exits_2(tmp_path, capsys, mangle):
     rc = cli.main(["spectrum", "--matrix", str(matrix)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_smallball_bad_distribution_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "f.ini"
+    cfg.write_text("[distribution]\nfamily = gaussian-iid\nn = abc\n")
+    rc = cli.main(["smallball", "--config", str(cfg), "--samples", "100"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: bad [distribution] section")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "--matrix", "nope.bin"], ["fit", "--rows", "nope.csv"]],
+    ids=["spectrum-matrix", "fit-rows"],
+)
+def test_missing_input_file_exits_2(tmp_path, capsys, argv):
+    rc = cli.main(argv[:-1] + [str(tmp_path / argv[-1])])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: cannot read")

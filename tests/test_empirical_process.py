@@ -1,6 +1,7 @@
 """Tests for the truncation ramp, exact identities, dyadic machinery, VC
 checks, and the exhaustive tiny-instance oracle."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -247,6 +248,72 @@ def test_vc_budget_guard():
 # ---------------------------------------------------------------------------
 
 
+def _ordered_tuple_oracle(inst, tau):
+    """Reference oracle: enumerates all n_atoms^N ordered sample tuples and
+    decides the event in floats; returns (q2tau, exact_prob, hypothesis_ok,
+    verdict, r_n)."""
+    F = np.array(inst.functions, dtype=float)
+    n_atoms, N = F.shape[1], inst.N
+    q2tau = min(sum((p for p, v in zip(inst.probs, f) if abs(v) >= 2.0 * tau), Fraction(0)) for f in F)
+    floor = tau**2 * float(q2tau) / 2.0
+    T = np.array(list(itertools.product(range(n_atoms), repeat=N)))
+    denom = math.lcm(*(p.denominator for p in inst.probs))
+    num = np.prod(np.array([int(p * denom) for p in inst.probs])[T], axis=1)
+    vals = F[:, T]  # (nf, n_tuples, N)
+    success = np.all((vals**2).mean(axis=2) >= floor, axis=0)
+    exact_prob = Fraction(int(num[success].sum()), denom**N)
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=N)))
+    r_n = 0.0
+    for start in range(0, len(T), 4096):
+        sl = slice(start, start + 4096)
+        sup = np.abs(vals[:, sl] @ signs.T).max(axis=0)
+        r_n += float((num[sl] / denom**N) @ sup.mean(axis=1))
+    r_n /= N
+    hypothesis_ok = r_n <= tau * float(q2tau) / 16.0
+    bound = 1.0 - 2.0 * math.exp(-float(q2tau) ** 2 * N / 8.0)
+    if not hypothesis_ok:
+        verdict = "not-applicable"
+    else:
+        verdict = "holds" if float(exact_prob) >= bound else "violated"
+    return q2tau, exact_prob, hypothesis_ok, verdict, r_n
+
+
+def test_oracle_matches_ordered_tuple_reference():
+    applicable = 0
+    for seed in (0, 1, 2):
+        for inst, tau in ep.random_instances(30, rng=seed):
+            rep = ep.tiny_smallball_oracle(inst, tau)
+            q2tau, exact_prob, hypothesis_ok, verdict, r_n = _ordered_tuple_oracle(inst, tau)
+            assert (rep.q2tau, rep.exact_prob, rep.hypothesis_ok, rep.verdict) == (
+                q2tau,
+                exact_prob,
+                hypothesis_ok,
+                verdict,
+            )
+            assert rep.r_n == pytest.approx(r_n, rel=1e-12, abs=0.0)
+            applicable += hypothesis_ok
+    assert applicable >= 5  # both verdict branches are compared
+
+
+def test_oracle_event_exact_at_a_tie():
+    # tau = 0.13, Q(2 tau) = 2/5 (the atom at 1.0), N = 5: the tuples with one
+    # draw of the atom at 0.13 and four of the zero atom have P_N f^2 equal to
+    # the floor tau^2 Q/2 exactly, which float arithmetic puts below the floor.
+    tau = 0.13
+    inst = ep.FiniteInstance(
+        probs=(Fraction(2, 5), Fraction(1, 5), Fraction(2, 5)), functions=((1.0, tau, 0.0),), N=5
+    )
+    rep = ep.tiny_smallball_oracle(inst, tau)
+    assert rep.q2tau == Fraction(2, 5)
+    floor = Fraction(tau) ** 2 * rep.q2tau / 2
+    brute = Fraction(0)
+    for t in itertools.product(range(3), repeat=5):
+        if sum(Fraction(inst.functions[0][a]) ** 2 for a in t) / 5 >= floor:
+            brute += math.prod(inst.probs[a] for a in t)
+    assert rep.exact_prob == brute == 1 - Fraction(2, 5) ** 5
+    assert rep.floor == tau**2 * 0.4 / 2.0  # reported floor stays a float
+
+
 def test_oracle_constant_function():
     inst = ep.FiniteInstance(
         probs=(Fraction(1, 2), Fraction(1, 2)), functions=((1.0, 1.0),), N=6
@@ -335,4 +402,8 @@ def test_finite_instance_validation():
     with pytest.raises(InvalidParameterError):
         ep.FiniteInstance(
             probs=(Fraction(1, 2), Fraction(1, 2)), functions=((1.0, 1.0),), N=11
+        )
+    with pytest.raises(InvalidParameterError):
+        ep.FiniteInstance(
+            probs=(Fraction(1, 2), Fraction(1, 2)), functions=((1.0, math.inf),), N=2
         )

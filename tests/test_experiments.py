@@ -77,6 +77,26 @@ def test_run_sweep_deterministic_across_threads(tmp_path):
     assert s1.read_bytes() == s8.read_bytes()
 
 
+def test_run_sweep_clamps_workers_to_cpu_count(tmp_path, monkeypatch):
+    started = []
+    real_pool = ex.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        started.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(ex, "ThreadPoolExecutor", recording_pool)
+    cfg = small_config()
+    paths = [tmp_path / "serial.csv", tmp_path / "clamped.csv", tmp_path / "unknown.csv"]
+    ex.run_sweep(cfg, threads=1).rows_csv(paths[0])
+    monkeypatch.setattr(ex.os, "cpu_count", lambda: 2)
+    ex.run_sweep(cfg, threads=2 + 2).rows_csv(paths[1])
+    monkeypatch.setattr(ex.os, "cpu_count", lambda: None)  # unknown: one worker
+    ex.run_sweep(cfg, threads=3).rows_csv(paths[2])
+    assert started == [2]
+    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+
 def test_sweep_output_independent_of_blas_and_pool_threads(tmp_path):
     """Seeded sweep CSVs hash the same for every OPENBLAS_NUM_THREADS and
     --threads; each run is a fresh process because OpenBLAS reads the
