@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .distributions import CovarianceBand
-from .errors import CalibrationUnavailableError, InvalidParameterError
+from .errors import CalibrationUnavailableError, InvalidInputError, InvalidParameterError
 
 ETA_EQ_TOL = 1e-9
 
@@ -302,60 +302,63 @@ def general_floor(
 
 
 @dataclass(frozen=True)
-class CalibrationResult:
+class FitResult:
     """Least-squares fit deficit ~ constant * rate(beta)^exponent."""
 
-    regime: str
-    constant: float
     exponent: float
+    constant: float
     half_width: float
-    n_rows: int
+    n_used: int
+    n_excluded: int
+    regime: str
 
 
-def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Slope, intercept, and 2-stderr half-width of log(y) on log(x)."""
-    lx, ly = np.log(x), np.log(y)
+def fit_deficit(rows, rate, regime: str) -> FitResult:
+    """Fit log(deficit) on log(rate(beta)) over (beta, deficit) rows.
+
+    Rows with deficit <= 0 are excluded (and counted); at least 4 usable rows
+    are required and ``rate`` must be positive on each.  A non-finite beta or
+    deficit is an input error.  ``regime`` labels the result.  The half-width
+    is 2 standard errors of the slope (inf without residual degrees of freedom).
+    """
+    rows = list(rows)
+    for b, d in rows:
+        if not (math.isfinite(b) and math.isfinite(d)):
+            raise InvalidInputError(f"fit rows must be finite, got beta={b}, deficit={d}")
+    usable = [(b, d) for b, d in rows if d > 0]
+    if len(usable) < 4:
+        raise CalibrationUnavailableError(
+            f"need >= 4 rows with positive deficit, got {len(usable)}"
+        )
+    x = np.array([rate(b) for b, _ in usable])
+    if np.any(x <= 0):
+        raise CalibrationUnavailableError("rate variable vanishes on the grid (beta = 1 row?)")
+    lx, ly = np.log(x), np.log(np.array([d for _, d in usable]))
     A = np.vstack([lx, np.ones_like(lx)]).T
     coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
     slope, intercept = float(coef[0]), float(coef[1])
     resid = ly - (slope * lx + intercept)
-    dof = len(x) - 2
+    dof = len(usable) - 2
     if dof > 0:
         s2 = float(resid @ resid) / dof
         sxx = float(((lx - lx.mean()) ** 2).sum())
         half = 2.0 * math.sqrt(s2 / sxx) if sxx > 0 else math.inf
     else:
         half = math.inf
-    return slope, intercept, half
-
-
-def calibrate_constant(
-    rows, regime: str, eta: float | None = None
-) -> CalibrationResult:
-    """Fit the multiplicative constant and exponent of deficit vs rate(beta).
-
-    ``rows`` are (beta, deficit) pairs; rows with deficit <= 0 are dropped.
-    ``regime`` picks the rate variable: the tail-regime rate functions, or
-    "power-law" for the raw beta scale.  Requires >= 4 usable rows.
-    """
-    usable = [(b, d) for b, d in rows if d > 0]
-    if len(usable) < 4:
-        raise CalibrationUnavailableError(
-            f"need >= 4 rows with positive deficit, got {len(usable)}"
-        )
-    beta = np.array([b for b, _ in usable])
-    deficit = np.array([d for _, d in usable])
-    rate = np.array([regime_rate(regime, b, eta) for b in beta])
-    if np.any(rate <= 0):
-        raise CalibrationUnavailableError("rate function vanishes on the grid (beta = 1 row?)")
-    slope, intercept, half = _loglog_fit(rate, deficit)
-    return CalibrationResult(
-        regime=regime,
-        constant=float(math.exp(intercept)),
+    return FitResult(
         exponent=slope,
+        constant=float(math.exp(intercept)),
         half_width=half,
-        n_rows=len(usable),
+        n_used=len(usable),
+        n_excluded=len(rows) - len(usable),
+        regime=regime,
     )
+
+
+def calibrate_constant(rows, regime: str, eta: float | None = None) -> FitResult:
+    """Fit the multiplicative constant and exponent of deficit vs
+    ``regime_rate(regime, beta, eta)`` (see ``fit_deficit``)."""
+    return fit_deficit(rows, lambda b: regime_rate(regime, b, eta), regime)
 
 
 def anchor_constant(deficit: float, beta: float, regime: str, eta: float | None = None) -> float:

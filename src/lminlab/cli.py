@@ -20,7 +20,7 @@ from . import experiments as ex
 from . import rademacher as rad
 from . import smallball as sb
 from . import spectrum as sp
-from .errors import ConfigError, InvalidInputError, LminlabError
+from .errors import ConfigError, InvalidInputError, InvalidParameterError, LminlabError
 
 
 def _global_flags(p: argparse.ArgumentParser) -> None:
@@ -104,18 +104,16 @@ def cmd_smallball(args) -> int:
     spec = _spec_from_args(args)
     rng = np.random.default_rng(args.seed)
     samples = dist.sample_matrix(spec, args.samples, rng)
-    u_grid = [float(tok) for tok in args.u_grid.replace(",", " ").split()]
+    try:
+        u_grid = [float(tok) for tok in args.u_grid.replace(",", " ").split()]
+    except ValueError as exc:
+        raise InvalidParameterError(f"--u-grid: {exc}") from exc
     curve = sb.small_ball_curve(samples, u_grid, budget=args.budget, rng=rng)
     if args.out:
         curve.to_csv(args.out)
         print(f"wrote curve to {args.out}")
     else:
-        w = csv.writer(sys.stdout)
-        w.writerow(["u", "q_upper", "q_lower", "dir_index", "stderr"])
-        for u, qu, ql, di, se in zip(
-            curve.u_grid, curve.upper, curve.lower, curve.dir_indices, curve.stderr()
-        ):
-            w.writerow([u, qu, ql, di, se])
+        curve.write_csv(sys.stdout)
     return 0
 
 
@@ -151,7 +149,7 @@ def cmd_bounds(args) -> int:
     k = _constants_from_args(args)
     if args.regime == "tail":
         _require(args, ("eta", "beta"))
-        pred = bd.floor_regime(args.eta, args.L or 1.0, args.beta, k, args.N)
+        pred = bd.floor_regime(args.eta, args.L, args.beta, k, args.N)
     elif args.regime == "basic":
         _require(args, ("tau", "q2tau", "rn"))
         pred = bd.basic_floor(args.tau, args.q2tau, args.rn, args.N)
@@ -216,7 +214,13 @@ def cmd_fit(args) -> int:
         if "beta" not in cols or "deficit" not in cols:
             raise ConfigError(f"{args.rows} needs 'beta' and 'deficit' columns, has {cols}")
         for rec in reader:
-            rows.append((float(rec["beta"]), float(rec["deficit"])))
+            try:
+                rows.append((float(rec["beta"]), float(rec["deficit"])))
+            except (TypeError, ValueError) as exc:
+                raise InvalidInputError(
+                    f"{args.rows} line {reader.line_num}: beta and deficit must be numbers, "
+                    f"got {rec['beta']!r}, {rec['deficit']!r}"
+                ) from exc
     fit = ex.fit_exponent(rows, regime=args.regime)
     _emit(
         {
@@ -267,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="evaluate a floor prediction from flags")
     p.add_argument("--regime", choices=("tail", "basic", "isomorphic", "general"), required=True)
     p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--L", type=float, default=None)
+    p.add_argument("--L", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--q2tau", type=float, default=None)

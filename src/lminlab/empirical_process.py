@@ -342,7 +342,7 @@ def vc_bruteforce(points, klass: str = "halfspaces") -> int:
 _ORACLE_MAX_ATOMS = 6
 _ORACLE_MAX_FUNCTIONS = 4
 _ORACLE_MAX_N = 10
-_ORACLE_BUDGET = 1 << 26  # tuples x sign vectors
+_ORACLE_BUDGET = 1 << 26  # multisets x sign vectors
 
 
 @dataclass(frozen=True)
@@ -440,10 +440,10 @@ def tiny_smallball_oracle(inst: FiniteInstance, tau: float) -> OracleReport:
         raise InvalidParameterError(f"tau must be > 0, got {tau}")
     n_atoms = len(inst.probs)
     N = inst.N
-    n_tuples = n_atoms**N
-    if n_tuples * (1 << N) > _ORACLE_BUDGET:
+    work = math.comb(N + n_atoms - 1, N) << N
+    if work > _ORACLE_BUDGET:
         raise BudgetExceededError(
-            f"{n_atoms}^{N} tuples x 2^{N} signs = {n_tuples * (1 << N)} "
+            f"C({N + n_atoms - 1}, {N}) multisets x 2^{N} signs = {work} "
             f"exceeds budget {_ORACLE_BUDGET}"
         )
 

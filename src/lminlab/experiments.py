@@ -30,7 +30,7 @@ from . import empirical_process as ep
 from . import rademacher as rad
 from . import smallball as sb
 from . import spectrum as sp
-from .errors import CalibrationUnavailableError, ConfigError, InvalidParameterError
+from .errors import ConfigError, InvalidParameterError
 from .streams import SeedRecord, substream_seed
 
 ROWS_HEADER = ["family", "eta", "n", "N", "beta", "trial", "lambda_min", "lambda_max", "seed"]
@@ -114,21 +114,11 @@ class BetaSummary:
 
 
 @dataclass(frozen=True)
-class FitResult:
-    exponent: float
-    constant: float
-    half_width: float
-    n_used: int
-    n_excluded: int
-    regime: str
-
-
-@dataclass(frozen=True)
 class SweepResult:
     config_seed: int
     rows: tuple
     summaries: tuple
-    fit: FitResult | None
+    fit: bd.FitResult | None
     failures: tuple
 
     def rows_csv(self, path) -> None:
@@ -400,36 +390,21 @@ def _run_sweep(cfg: ExperimentConfig, threads: int) -> SweepResult:
     )
 
 
-def fit_exponent(rows, regime: str = "eta-gt-2") -> FitResult:
-    """Least-squares scaling exponent of deficit vs the regime's rate variable.
+# The rate variable of each regime: beta itself for eta >= 2, and
+# beta*log(1/beta) below eta = 2 (where the predicted exponent is eta/(2+eta)).
+_FIT_RATES = {
+    "eta-gt-2": lambda b: b,
+    "eta-eq-2": lambda b: b,
+    "eta-lt-2": lambda b: b * math.log(1.0 / b),
+}
 
-    The rate variable is beta itself for the eta >= 2 regimes and
-    beta*log(1/beta) below eta = 2 (where the predicted exponent is
-    eta/(2+eta)).  Rows with nonpositive deficit are excluded (and counted);
-    at least 4 usable rows are required.
-    """
-    usable = [(b, d) for b, d in rows if d > 0]
-    excluded = len(list(rows)) - len(usable)
-    if len(usable) < 4:
-        raise CalibrationUnavailableError(f"need >= 4 rows with positive deficit, got {len(usable)}")
-    if regime in ("eta-gt-2", "eta-eq-2"):
-        xs = np.array([b for b, _ in usable])
-    elif regime == "eta-lt-2":
-        xs = np.array([b * math.log(1.0 / b) for b, _ in usable])
-        if np.any(xs <= 0):
-            raise CalibrationUnavailableError("rate variable vanishes on the grid (beta = 1 row?)")
-    else:
+
+def fit_exponent(rows, regime: str = "eta-gt-2") -> bd.FitResult:
+    """Least-squares scaling exponent of deficit vs the regime's rate variable
+    (see ``bounds.fit_deficit``)."""
+    if regime not in _FIT_RATES:
         raise InvalidParameterError(f"unknown regime {regime!r}")
-    ys = np.array([d for _, d in usable])
-    slope, intercept, half = bd._loglog_fit(xs, ys)
-    return FitResult(
-        exponent=slope,
-        constant=float(math.exp(intercept)),
-        half_width=half,
-        n_used=len(usable),
-        n_excluded=excluded,
-        regime=regime,
-    )
+    return bd.fit_deficit(rows, _FIT_RATES[regime], regime)
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,16 @@ _REFINE_SCALE0 = 0.5
 _REFINE_DECAY = 0.9
 
 
-def q_direction(samples: np.ndarray, t: np.ndarray, u: float) -> float:
-    """Empirical fraction of draws with |<X_i, t>| >= u for a unit vector t."""
+def _as_samples(samples) -> np.ndarray:
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] == 0:
         raise InvalidInputError(f"samples must be a nonempty 2-D array, got shape {samples.shape}")
+    return samples
+
+
+def q_direction(samples: np.ndarray, t: np.ndarray, u: float) -> float:
+    """Empirical fraction of draws with |<X_i, t>| >= u for a unit vector t."""
+    samples = _as_samples(samples)
     t = np.asarray(t, dtype=float)
     if abs(np.linalg.norm(t) - 1.0) > 1e-10:
         raise InvalidParameterError(f"direction must be unit norm, got ||t|| = {np.linalg.norm(t)}")
@@ -76,6 +81,34 @@ def _perturb(best: np.ndarray, scale: float, rng: np.random.Generator) -> np.nda
     return cand / norm
 
 
+def _refine(chains: list, steps: int, rng: np.random.Generator) -> list:
+    """Greedy local refinement of ``[objective, best value, best direction]`` chains.
+
+    Step k perturbs the direction of chain k mod len(chains) at a scale that
+    decays every step, and keeps the candidate when its objective is strictly
+    lower.  The chains are updated in place; the candidates are returned in
+    draw order.
+    """
+    scale = _REFINE_SCALE0
+    cands = []
+    for k in range(steps):
+        chain = chains[k % len(chains)]
+        cand = _perturb(chain[2], scale, rng)
+        val = chain[0](cand)
+        if val < chain[1]:
+            chain[1], chain[2] = val, cand
+        cands.append(cand)
+        scale *= _REFINE_DECAY
+    return cands
+
+
+def _tail_chain(samples: np.ndarray, proj: np.ndarray, pool: np.ndarray, u: float) -> list:
+    """Chain minimizing the empirical tail at u, started at the pool's best direction."""
+    fracs = (proj >= u).mean(axis=0)
+    i = int(np.argmin(fracs))
+    return [lambda d: float((np.abs(samples @ d) >= u).mean()), float(fracs[i]), pool[i]]
+
+
 def q_inf_search(
     samples: np.ndarray,
     u: float,
@@ -83,24 +116,12 @@ def q_inf_search(
     rng: np.random.Generator | int | None = None,
 ) -> tuple[float, np.ndarray]:
     """Upper estimate of Q(u): minimum of q_direction over the search set."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[0] == 0:
-        raise InvalidInputError(f"samples must be a nonempty 2-D array, got shape {samples.shape}")
+    samples = _as_samples(samples)
     rng = as_generator(rng)
-    n = samples.shape[1]
-    pool, n_refine = _base_pool(n, budget, rng)
-    fracs = (np.abs(samples @ pool.T) >= u).mean(axis=0)
-    best_i = int(np.argmin(fracs))
-    best_q = float(fracs[best_i])
-    best_dir = pool[best_i]
-    scale = _REFINE_SCALE0
-    for _ in range(n_refine):
-        cand = _perturb(best_dir, scale, rng)
-        qc = float((np.abs(samples @ cand) >= u).mean())
-        if qc < best_q:
-            best_q, best_dir = qc, cand
-        scale *= _REFINE_DECAY
-    return best_q, best_dir
+    pool, n_refine = _base_pool(samples.shape[1], budget, rng)
+    chain = _tail_chain(samples, np.abs(samples @ pool.T), pool, u)
+    _refine([chain], n_refine, rng)
+    return chain[1], chain[2]
 
 
 @dataclass(frozen=True)
@@ -141,22 +162,19 @@ def moment_ratios(
         lp = marginal_abs_moment(source, p) ** (1.0 / p)
         return MomentRatios(alpha=alpha, beta_p=lp / alpha, p=p)
 
-    samples = np.asarray(source, dtype=float)
-    if samples.ndim != 2 or samples.shape[0] == 0:
-        raise InvalidInputError(f"samples must be a nonempty 2-D array, got shape {samples.shape}")
+    samples = _as_samples(source)
     rng = as_generator(rng)
-    n = samples.shape[1]
-    pool, n_refine = _base_pool(n, budget, rng)
+    pool, n_refine = _base_pool(samples.shape[1], budget, rng)
 
-    def l1_of(d: np.ndarray) -> float:
-        return float(np.abs(samples @ d).mean())
-
-    def ratio_of(d: np.ndarray) -> float:
+    def neg_ratio_of(d: np.ndarray) -> float:
+        # beta_p is maximized as the minimum of -ratio; a degenerate or
+        # overflowing direction is never kept.
         proj = np.abs(samples @ d)
         l1 = proj.mean()
         if l1 == 0:
             return math.inf
-        return float((proj**p).mean() ** (1.0 / p) / l1)
+        ratio = float((proj**p).mean() ** (1.0 / p) / l1)
+        return -ratio if math.isfinite(ratio) else math.inf
 
     proj = np.abs(samples @ pool.T)
     l1s = proj.mean(axis=0)
@@ -165,25 +183,15 @@ def moment_ratios(
         ratios = np.where(l1s > 0, lps / l1s, math.inf)
 
     ai = int(np.argmin(l1s))
-    alpha, alpha_dir = float(l1s[ai]), pool[ai]
     bi = int(np.argmax(np.where(np.isfinite(ratios), ratios, -math.inf)))
-    beta, beta_dir = float(ratios[bi]), pool[bi]
+    beta = float(ratios[bi])
     if not np.isfinite(beta):  # every direction degenerate
         beta = math.inf
-
-    scale = _REFINE_SCALE0
-    for k in range(n_refine):
-        if k % 2 == 0:
-            cand = _perturb(alpha_dir, scale, rng)
-            val = l1_of(cand)
-            if val < alpha:
-                alpha, alpha_dir = val, cand
-        else:
-            cand = _perturb(beta_dir, scale, rng)
-            val = ratio_of(cand)
-            if math.isfinite(val) and val > beta:
-                beta, beta_dir = val, cand
-        scale *= _REFINE_DECAY
+    alpha_chain = [lambda d: float(np.abs(samples @ d).mean()), float(l1s[ai]), pool[ai]]
+    beta_chain = [neg_ratio_of, -beta, pool[bi]]
+    _refine([alpha_chain, beta_chain], n_refine, rng)
+    _, alpha, alpha_dir = alpha_chain
+    beta, beta_dir = -beta_chain[1], beta_chain[2]
     degenerate = alpha == 0.0
     return MomentRatios(
         alpha=alpha, beta_p=beta, p=p, degenerate=degenerate, alpha_dir=alpha_dir, beta_dir=beta_dir
@@ -227,14 +235,16 @@ class SmallBallCurve:
         q = self.upper
         return np.sqrt(q * (1.0 - q) / self.sample_size)
 
+    def write_csv(self, fh) -> None:
+        """One CSV row per grid point, floats in repr form, to an open text file."""
+        w = csv.writer(fh)
+        w.writerow(["u", "q_upper", "q_lower", "dir_index", "stderr"])
+        for u, qu, ql, di, se in zip(self.u_grid, self.upper, self.lower, self.dir_indices, self.stderr()):
+            w.writerow([repr(float(u)), repr(float(qu)), repr(float(ql)), int(di), repr(float(se))])
+
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["u", "q_upper", "q_lower", "dir_index", "stderr"])
-            for u, qu, ql, di, se in zip(
-                self.u_grid, self.upper, self.lower, self.dir_indices, self.stderr()
-            ):
-                w.writerow([repr(float(u)), repr(float(qu)), repr(float(ql)), int(di), repr(float(se))])
+            self.write_csv(fh)
 
 
 def small_ball_curve(
@@ -252,36 +262,21 @@ def small_ball_curve(
     minima are taken over the full pool at every u.  Minimizing over a common
     set makes the upper estimates nonincreasing in u by construction.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[0] == 0:
-        raise InvalidInputError(f"samples must be a nonempty 2-D array, got shape {samples.shape}")
+    samples = _as_samples(samples)
     u_grid = np.asarray(u_grid, dtype=float)
     if u_grid.ndim != 1 or len(u_grid) == 0:
         raise InvalidParameterError("u_grid must be a nonempty 1-D sequence")
-    if np.any(np.diff(u_grid) < 0) or np.any(u_grid < 0):
-        raise InvalidParameterError("u_grid must be ascending and nonnegative")
+    if not np.all(np.isfinite(u_grid)) or np.any(np.diff(u_grid) < 0) or np.any(u_grid < 0):
+        raise InvalidParameterError("u_grid must be finite, ascending and nonnegative")
     rng = as_generator(rng)
-    n = samples.shape[1]
 
-    pool, n_refine = _base_pool(n, budget, rng)
+    pool, n_refine = _base_pool(samples.shape[1], budget, rng)
     dirs = [pool]
     per_u = n_refine // len(u_grid)
     if per_u > 0:
         proj = np.abs(samples @ pool.T)
         for u in u_grid:
-            fracs = (proj >= u).mean(axis=0)
-            best_i = int(np.argmin(fracs))
-            best_q, best_dir = float(fracs[best_i]), pool[best_i]
-            scale = _REFINE_SCALE0
-            extra = []
-            for _ in range(per_u):
-                cand = _perturb(best_dir, scale, rng)
-                qc = float((np.abs(samples @ cand) >= u).mean())
-                if qc < best_q:
-                    best_q, best_dir = qc, cand
-                extra.append(cand)
-                scale *= _REFINE_DECAY
-            dirs.append(np.array(extra))
+            dirs.append(np.array(_refine([_tail_chain(samples, proj, pool, u)], per_u, rng)))
     all_dirs = np.vstack(dirs)
 
     proj = np.abs(samples @ all_dirs.T)

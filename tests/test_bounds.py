@@ -7,7 +7,7 @@ import pytest
 
 from lminlab import bounds as bd
 from lminlab.distributions import CovarianceBand
-from lminlab.errors import CalibrationUnavailableError, InvalidParameterError
+from lminlab.errors import CalibrationUnavailableError, InvalidInputError, InvalidParameterError
 
 K = bd.ConstantSet()
 
@@ -180,6 +180,21 @@ def test_calibrate_constant_eta_lt_2_rate():
     rows = [(b, (b * math.log(1 / b)) ** (1 / 3)) for b in betas]
     res = bd.calibrate_constant(rows, "eta-lt-2", eta=1.0)
     assert res.exponent == pytest.approx(1.0, abs=1e-10)
+
+
+def test_calibrate_constant_returns_fit_result():
+    betas = [0.5, 0.25, 0.125, 0.0625, 0.03125]
+    rows = [(b, 2 * math.sqrt(b)) for b in betas] + [(0.015625, 0.0)]
+    res = bd.calibrate_constant(rows, "eta-gt-2")
+    assert isinstance(res, bd.FitResult)
+    assert (res.n_used, res.n_excluded, res.regime) == (5, 1, "eta-gt-2")
+
+
+@pytest.mark.parametrize("bad", [(0.125, math.nan), (0.125, math.inf), (math.nan, 0.3), (-math.inf, 0.3)])
+def test_calibrate_constant_rejects_nonfinite_rows(bad):
+    rows = [(0.5, 0.7), (0.25, 0.5), (0.0625, 0.25), (0.03125, 0.18), bad]
+    with pytest.raises(InvalidInputError):
+        bd.calibrate_constant(rows, "eta-gt-2")
 
 
 def test_calibrate_constant_requires_rows():

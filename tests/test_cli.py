@@ -148,3 +148,43 @@ def test_missing_input_file_exits_2(tmp_path, capsys, argv):
     rc = cli.main(argv[:-1] + [str(tmp_path / argv[-1])])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: cannot read")
+
+
+def test_smallball_stdout_matches_out_file(tmp_path, capsys):
+    argv = ["smallball", "--family", "heavy-radial", "--n", "4", "--eta", "3", "--samples", "3000"]
+    argv += ["--u-grid", "0.1 0.2,0.4", "--budget", "48", "--seed", "7"]
+    assert cli.main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "curve.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert stdout.encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize("grid", ["0.1 abc", "0.1 nan", "0.1,inf"])
+def test_smallball_bad_u_grid_exits_2(capsys, grid):
+    rc = cli.main(["smallball", "--family", "gaussian-iid", "--n", "2", "--samples", "100", "--u-grid", grid])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+@pytest.mark.parametrize("L", ["0", "0.5"])
+def test_bounds_tail_rejects_small_L(capsys, L):
+    rc = cli.main(["bounds", "--regime", "tail", "--eta", "5", "--beta", "0.25", "--N", "100", "--L", L])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "cell,message",
+    [("abc", "line 4"), ("", "line 4"), ("inf", "finite"), ("nan", "finite")],
+    ids=["non-numeric", "empty", "inf", "nan"],
+)
+def test_fit_rejects_bad_cells(tmp_path, capsys, cell, message):
+    rows = tmp_path / "rows.csv"
+    rows.write_text(f"beta,deficit\n0.5,0.7\n0.25,0.5\n0.125,{cell}\n0.0625,0.25\n0.03125,0.18\n")
+    rc = cli.main(["fit", "--rows", str(rows)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert captured.out == ""

@@ -366,10 +366,17 @@ def test_oracle_gated_when_hypothesis_fails():
     assert rep.verdict == "not-applicable"
 
 
-def test_oracle_budget_guard():
+def test_oracle_budget_guard(monkeypatch):
+    # The largest instance the caps allow: C(15, 10) = 3003 multisets x 2^10
+    # signs fits the budget.  f = 1 on every atom, so the event always holds
+    # and R_N = E|eps_1 + ... + eps_10| / 10 = 252/1024.
     inst = ep.FiniteInstance(
         probs=(Fraction(1, 6),) * 6, functions=((1.0,) * 6,), N=10
     )
+    rep = ep.tiny_smallball_oracle(inst, tau=0.25)
+    assert rep.exact_prob == 1
+    assert abs(rep.r_n - 0.24609375) <= 1e-15
+    monkeypatch.setattr(ep, "_ORACLE_BUDGET", 3003 * 1024 - 1)
     with pytest.raises(BudgetExceededError):
         ep.tiny_smallball_oracle(inst, tau=0.25)
 
