@@ -82,8 +82,9 @@ class ConstantSet:
 
     def __post_init__(self):
         for name in _CONSTANT_NAMES:
-            if getattr(self, name) <= 0:
-                raise InvalidParameterError(f"constant {name} must be > 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidParameterError(f"constant {name} must be finite and > 0, got {value}")
 
     def value(self, name: str) -> float:
         if name not in _CONSTANT_NAMES:
@@ -139,6 +140,12 @@ def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"{name} must be finite, got {value}")
+
+
 def regime_for_eta(eta: float) -> str:
     if eta <= 0:
         raise InvalidParameterError(f"eta must be > 0, got {eta}")
@@ -177,6 +184,7 @@ def floor_regime(eta: float, L: float, beta: float, k: ConstantSet, N: int) -> B
     """
     if not (0 < beta <= 1):
         raise InvalidParameterError(f"beta must be in (0, 1], got {beta}")
+    _require_finite(L=L)
     if L < 1:
         raise InvalidParameterError(f"L must be >= 1, got {L}")
     if N < 1:
@@ -218,6 +226,7 @@ def basic_floor(tau: float, q2tau: float, r_n: float, N: int) -> BoundPrediction
     Applies when the Rademacher complexity satisfies r_n <= tau Q(2tau)/16;
     there are no free constants.  Failure probability 2 exp(-Q(2tau)^2 N / 8).
     """
+    _require_finite(tau=tau, r_n=r_n)
     if tau <= 0:
         raise InvalidParameterError(f"tau must be > 0, got {tau}")
     if not (0 <= q2tau <= 1):
@@ -272,6 +281,7 @@ def general_floor(
     Needs only (E||X||^2)^(1/2) <= A sqrt(n) and Q(2tau) > 0; gated on
     N >= c1 A n / (tau^2 Q(2tau)^2).
     """
+    _require_finite(tau=tau, A=A)
     if tau <= 0:
         raise InvalidParameterError(f"tau must be > 0, got {tau}")
     if not (0 <= q2tau <= 1):

@@ -1,14 +1,15 @@
 """Command-line interface.
 
 Subcommands: sample, spectrum, smallball, rademacher, bounds, sweep, verify,
-fit.  Global flags (--seed, --threads, --out, --format, --config) are accepted
-by every subcommand.
+fit.  The shared flags (--seed, --threads, --out, --format, --config) are
+declared only by the subcommands that read them; any other is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 
@@ -23,31 +24,38 @@ from . import spectrum as sp
 from .errors import ConfigError, InvalidInputError, InvalidParameterError, LminlabError
 
 
-def _global_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
-    p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
-    p.add_argument("--config", type=str, default=None, help="config file path")
+_FLAGS = {
+    "seed": dict(type=int, default=None, help="master seed (default: the config's [distribution] seed, else 0)"),
+    "threads": dict(type=int, default=1, help="worker threads for sweeps"),
+    "out": dict(type=str, default=None, help="output path (default stdout)"),
+    "format": dict(choices=("csv", "json"), default="csv", dest="fmt"),
+    "config": dict(type=str, default=None, help="config file path"),
+}
+
+
+def _flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """Declare the named shared flags on one subcommand."""
+    for name in names:
+        p.add_argument(f"--{name}", **_FLAGS[name])
+
+
+def _write(text: str, out) -> None:
+    if out:
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _emit(pairs: dict, args) -> None:
     """Write a flat key->value record as csv rows or a json object."""
     if args.fmt == "json":
         text = json.dumps(pairs, indent=1) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return
-    rows = [[k, v] for k, v in pairs.items()]
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
     else:
-        w = csv.writer(sys.stdout)
-        w.writerows(rows)
+        buf = io.StringIO()
+        csv.writer(buf).writerows([k, v] for k, v in pairs.items())
+        text = buf.getvalue()
+    _write(text, args.out)
 
 
 def _spec_from_args(args) -> dist.DistributionSpec:
@@ -64,6 +72,13 @@ def _spec_from_args(args) -> dist.DistributionSpec:
     )
 
 
+def _seed(args, spec: dist.DistributionSpec) -> int:
+    """--seed, else the config's [distribution] seed, else 0."""
+    if args.seed is not None:
+        return args.seed
+    return spec.seed if spec.seed is not None else 0
+
+
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=dist.FAMILIES, default=None)
     p.add_argument("--n", type=int, default=None, help="ambient dimension")
@@ -76,7 +91,7 @@ def cmd_sample(args) -> int:
     spec = _spec_from_args(args)
     if args.out is None:
         raise ConfigError("sample requires --out for the matrix file")
-    seed = spec.seed if spec.seed is not None and args.seed == 0 else args.seed
+    seed = _seed(args, spec)
     m = sp.assemble(spec, args.N, seed)
     m.save(args.out)
     print(f"wrote {args.N}x{spec.n} matrix to {args.out} (seed {seed})")
@@ -102,7 +117,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_smallball(args) -> int:
     spec = _spec_from_args(args)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_seed(args, spec))
     samples = dist.sample_matrix(spec, args.samples, rng)
     try:
         u_grid = [float(tok) for tok in args.u_grid.replace(",", " ").split()]
@@ -119,7 +134,7 @@ def cmd_smallball(args) -> int:
 
 def cmd_rademacher(args) -> int:
     spec = _spec_from_args(args)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_seed(args, spec))
     rows = dist.sample_matrix(spec, args.N, rng)
     est = rad.rademacher_linear(rows, draws=args.draws, rng=rng, method=args.method)
     _emit(
@@ -196,9 +211,9 @@ def cmd_verify(args) -> int:
     if args.fmt == "json":
         _emit(report.to_json_dict(), args)
     else:
-        for c in report.checks:
-            print(f"[{c.status.upper():7s}] {c.name}: {c.detail}")
-        print(f"overall: {'PASS' if report.ok else 'FAIL'} (budget {report.budget})")
+        lines = [f"[{c.status.upper():7s}] {c.name}: {c.detail}" for c in report.checks]
+        lines.append(f"overall: {'PASS' if report.ok else 'FAIL'} (budget {report.budget})")
+        _write("\n".join(lines) + "\n", args.out)
     return 0 if report.ok else 1
 
 
@@ -221,18 +236,7 @@ def cmd_fit(args) -> int:
                     f"{args.rows} line {reader.line_num}: beta and deficit must be numbers, "
                     f"got {rec['beta']!r}, {rec['deficit']!r}"
                 ) from exc
-    fit = ex.fit_exponent(rows, regime=args.regime)
-    _emit(
-        {
-            "exponent": fit.exponent,
-            "constant": fit.constant,
-            "half_width": fit.half_width,
-            "n_used": fit.n_used,
-            "n_excluded": fit.n_excluded,
-            "regime": fit.regime,
-        },
-        args,
-    )
+    _emit(vars(ex.fit_exponent(rows, regime=args.regime)), args)
     return 0
 
 
@@ -243,13 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw a sample matrix and write the binary file")
     _add_spec_flags(p)
     p.add_argument("--N", type=int, required=True, help="row count")
-    _global_flags(p)
+    _flags(p, "seed", "out", "config")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("spectrum", help="extreme singular values of a matrix file")
     p.add_argument("--matrix", required=True, help="matrix file from 'sample'")
     p.add_argument("--power", action="store_true", help="also run the inverse-power path")
-    _global_flags(p)
+    _flags(p, "out", "format")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("smallball", help="small-ball sandwich curve to CSV")
@@ -257,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--u-grid", default="0.1 0.2 0.4 0.8", dest="u_grid")
     p.add_argument("--budget", type=int, default=256)
-    _global_flags(p)
+    _flags(p, "seed", "out", "config")
     p.set_defaults(func=cmd_smallball)
 
     p = sub.add_parser("rademacher", help="Rademacher complexity of a fresh sample")
@@ -265,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--draws", type=int, default=rad.DEFAULT_DRAWS)
     p.add_argument("--method", choices=("auto", "exact", "mc"), default="auto")
-    _global_flags(p)
+    _flags(p, "seed", "out", "format", "config")
     p.set_defaults(func=cmd_rademacher)
 
     p = sub.add_parser("bounds", help="evaluate a floor prediction from flags")
@@ -281,22 +285,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", type=float, default=1.0)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--N", type=int, required=True)
-    _global_flags(p)
+    _flags(p, "out", "format", "config")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("sweep", help="run a beta sweep from a config file")
-    _global_flags(p)
+    _flags(p, "threads", "out", "config")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the oracle/invariant suite")
     p.add_argument("--budget", type=int, default=100)
-    _global_flags(p)
+    _flags(p, "out", "format")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("fit", help="fit a deficit scaling exponent from CSV rows")
     p.add_argument("--rows", required=True, help="CSV with beta and deficit columns")
     p.add_argument("--regime", choices=("eta-gt-2", "eta-eq-2", "eta-lt-2"), default="eta-gt-2")
-    _global_flags(p)
+    _flags(p, "out", "format")
     p.set_defaults(func=cmd_fit)
 
     return parser

@@ -92,6 +92,9 @@ class CovarianceBand:
     B: float
 
     def __post_init__(self):
+        for name, value in (("a", self.a), ("A", self.A), ("B", self.B)):
+            if not math.isfinite(value):
+                raise InvalidParameterError(f"{name} must be finite, got {value}")
         if not (0 < self.a <= self.A):
             raise InvalidParameterError(f"need 0 < a <= A, got a={self.a}, A={self.A}")
         if self.B < 1:
@@ -212,10 +215,12 @@ def sample_matrix(spec: DistributionSpec, m: int, rng: np.random.Generator | int
             theta = np.sign(g)
             theta[theta == 0] = 1.0
         else:
-            theta = g / np.linalg.norm(g, axis=1, keepdims=True)
+            theta = g  # scaled in place: a sweep draws one of these per trial
+            theta /= np.linalg.norm(g, axis=1, keepdims=True)
         s0 = pareto_threshold(spec.eta)
         rho = s0 * (1.0 - rng.random(m)) ** (-1.0 / (2.0 + spec.eta))
-        return math.sqrt(n) * rho[:, None] * theta
+        theta *= math.sqrt(n) * rho[:, None]  # bit-identical to sqrt(n) * rho[:, None] * theta
+        return theta
 
     if fam == "rademacher-vec":
         return rng.integers(0, 2, size=(m, n)) * 2.0 - 1.0

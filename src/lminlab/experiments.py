@@ -3,11 +3,10 @@ deterministic parallel trials, config parsing, and a one-command verify suite.
 
 N is derived from the aspect ratio by N = ceil(n/beta) so n/N <= beta holds
 exactly.  Every trial draws from the substream keyed by (master seed,
-beta index, trial index); auxiliary per-beta estimates (small-ball summary,
-Rademacher estimate) use trial indices >= trials so they never collide.
-Aggregation is a sequential reduce in fixed index order, and every loaded
-OpenBLAS is pinned to one thread while a sweep runs, which makes sweep output
-byte-identical regardless of worker count and BLAS thread count.
+beta index, trial index).  Aggregation is a sequential reduce in fixed index
+order, and every loaded OpenBLAS is pinned to one thread while a sweep runs,
+which makes sweep output byte-identical regardless of worker count and BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from . import rademacher as rad
 from . import smallball as sb
 from . import spectrum as sp
 from .errors import ConfigError, InvalidParameterError
-from .streams import SeedRecord, substream_seed
+from .streams import SeedRecord
 
 ROWS_HEADER = ["family", "eta", "n", "N", "beta", "trial", "lambda_min", "lambda_max", "seed"]
 SUMMARY_HEADER = [
@@ -46,11 +45,6 @@ SUMMARY_HEADER = [
     "floor_value",
     "precondition_ok",
 ]
-
-_Q_SUMMARY_U = 0.5
-_Q_SUMMARY_SAMPLES = 2048
-_Q_SUMMARY_BUDGET = 48
-_RN_DRAWS = 256
 
 
 @dataclass(frozen=True)
@@ -109,8 +103,6 @@ class BetaSummary:
     floor_regime: str
     floor_value: float
     precondition_ok: bool
-    r_n_estimate: float
-    q_at_half: float
 
 
 @dataclass(frozen=True)
@@ -345,19 +337,13 @@ def _run_sweep(cfg: ExperimentConfig, threads: int) -> SweepResult:
     L = tail.L if tail is not None else 1.0
 
     summaries = []
-    for b, beta in enumerate(cfg.beta_grid):
+    for beta in cfg.beta_grid:
         lmins = np.array([r.lambda_min for r in rows if r.beta == beta])
         if lmins.size == 0:
             continue
         N = cfg.sample_size(beta)
         median = float(np.median(lmins))
         pred = bd.floor_regime(eta_eff, L, beta, cfg.constants, N)
-        q_rng = np.random.default_rng(substream_seed(cfg.seed, b, cfg.trials))
-        q_sample = dist.sample_matrix(cfg.spec, _Q_SUMMARY_SAMPLES, q_rng)
-        q_val, _ = sb.q_inf_search(q_sample, _Q_SUMMARY_U, _Q_SUMMARY_BUDGET, q_rng)
-        rn_record = SeedRecord(cfg.seed, b, cfg.trials + 1)
-        raw = sp.assemble(cfg.spec, N, rn_record).raw_rows()
-        rn = rad.rademacher_linear(raw, draws=_RN_DRAWS, rng=rn_record.generator())
         summaries.append(
             BetaSummary(
                 family=cfg.spec.family,
@@ -372,8 +358,6 @@ def _run_sweep(cfg: ExperimentConfig, threads: int) -> SweepResult:
                 floor_regime=pred.regime,
                 floor_value=pred.floor,
                 precondition_ok=pred.precondition_ok,
-                r_n_estimate=rn.value,
-                q_at_half=q_val,
             )
         )
 

@@ -41,10 +41,6 @@ class SampleMatrix:
         if not np.all(np.isfinite(self.values)):
             raise InvalidInputError("matrix entries must be finite")
 
-    def raw_rows(self) -> np.ndarray:
-        """The unnormalized sample rows X_i (values times sqrt(N))."""
-        return self.values * np.sqrt(self.N)
-
     def save(self, path) -> None:
         """Binary layout: magic, u32 version, u64 N, u64 n, 3 x u64 seed
         fields (master, beta_index, trial_index), then row-major float64,
@@ -100,19 +96,14 @@ class SpectralResult:
     residual: float
 
 
-def assemble(
-    spec: DistributionSpec,
-    N: int,
-    seed: int | SeedRecord,
-    beta_index: int = 0,
-    trial_index: int = 0,
-) -> SampleMatrix:
+def assemble(spec: DistributionSpec, N: int, seed: int | SeedRecord) -> SampleMatrix:
     """Draw N independent rows and scale by 1/sqrt(N); deterministic in seed."""
     if N < 1:
         raise InvalidParameterError(f"N must be >= 1, got {N}")
-    record = seed if isinstance(seed, SeedRecord) else SeedRecord(seed, beta_index, trial_index)
+    record = seed if isinstance(seed, SeedRecord) else SeedRecord(seed)
     rows = sample_matrix(spec, N, record.generator())
-    return SampleMatrix(N=N, n=spec.n, values=rows / np.sqrt(N), seed=record)
+    rows /= np.sqrt(N)  # in place: one N x n buffer per trial, not two
+    return SampleMatrix(N=N, n=spec.n, values=rows, seed=record)
 
 
 def gram(m: SampleMatrix) -> np.ndarray:

@@ -223,3 +223,30 @@ def test_constant_set_config_roundtrip():
 def test_constant_set_positive():
     with pytest.raises(InvalidParameterError):
         bd.ConstantSet(c3=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: bd.basic_floor(x, 0.5, 0.01, 100),
+        lambda x: bd.basic_floor(1.0, 0.5, x, 100),
+        lambda x: bd.general_floor(x, 0.5, 1.0, 3, 100, K),
+        lambda x: bd.general_floor(1.0, 0.5, x, 3, 100, K),
+        lambda x: bd.floor_regime(5.0, x, 0.25, K, 100),
+        lambda x: CovarianceBand(x, 1.0, 1.0),
+        lambda x: CovarianceBand(1.0, x, 1.0),
+        lambda x: CovarianceBand(1.0, 1.0, x),
+        lambda x: bd.ConstantSet(c2=x),
+        lambda x: K.with_value("gen_c1", x),
+    ],
+    ids=["basic-tau", "basic-r_n", "general-tau", "general-A", "tail-L", "band-a", "band-A", "band-B", "constant", "with-value"],
+)
+def test_floors_reject_nonfinite_inputs(call, bad):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        call(bad)
+
+
+def test_tail_floor_accepts_infinite_eta():
+    # families without a polynomial tail report under eta-gt-2 with eta = inf
+    assert bd.floor_regime(math.inf, 1.0, 0.25, K, 100).floor == pytest.approx(0.5)

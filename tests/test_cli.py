@@ -96,6 +96,16 @@ def test_verify_small_budget(capsys):
     assert "overall: PASS" in out
 
 
+def test_verify_text_report_to_out_file(tmp_path, capsys):
+    out = tmp_path / "v.txt"
+    rc = cli.main(["verify", "--budget", "12", "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out == ""
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("[PASS   ] phi-sandwich:")
+    assert lines[-1] == "overall: PASS (budget 12)"
+
+
 def test_error_exit_code(capsys):
     rc = cli.main(["sweep"])  # missing --config
     assert rc == 2
@@ -168,11 +178,32 @@ def test_smallball_bad_u_grid_exits_2(capsys, grid):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
-@pytest.mark.parametrize("L", ["0", "0.5"])
+@pytest.mark.parametrize("L", ["0", "0.5", "inf", "nan"])
 def test_bounds_tail_rejects_small_L(capsys, L):
     rc = cli.main(["bounds", "--regime", "tail", "--eta", "5", "--beta", "0.25", "--N", "100", "--L", L])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--regime", "tail", "--eta", "5", "--beta", "0.25", "--config", "CONSTANTS"],
+        ["--regime", "basic", "--tau", "nan", "--q2tau", "0.5", "--rn", "0.01"],
+        ["--regime", "isomorphic", "--n", "3", "--B", "nan"],
+        ["--regime", "general", "--tau", "1", "--q2tau", "0.5", "--n", "3", "--A", "nan"],
+    ],
+    ids=["tail-constant-inf", "basic-tau-nan", "isomorphic-B-nan", "general-A-nan"],
+)
+def test_bounds_rejects_nonfinite_inputs(tmp_path, capsys, argv):
+    constants = tmp_path / "k.ini"
+    constants.write_text("[constants]\nc2 = inf\n")
+    argv = [str(constants) if a == "CONSTANTS" else a for a in argv]
+    rc = cli.main(["bounds", *argv, "--N", "100"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and "finite" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -188,3 +219,56 @@ def test_fit_rejects_bad_cells(tmp_path, capsys, cell, message):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and message in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--family", "gaussian-iid", "--n", "2", "--N", "4", "--out", "m.bin", "--format", "json"],
+        ["sample", "--family", "gaussian-iid", "--n", "2", "--N", "4", "--out", "m.bin", "--threads", "2"],
+        ["spectrum", "--matrix", "m.bin", "--config", "c.ini"],
+        ["spectrum", "--matrix", "m.bin", "--seed", "1"],
+        ["smallball", "--family", "gaussian-iid", "--n", "2", "--format", "json"],
+        ["rademacher", "--family", "gaussian-iid", "--n", "2", "--N", "4", "--threads", "2"],
+        ["bounds", "--regime", "tail", "--eta", "5", "--beta", "0.25", "--N", "100", "--seed", "1"],
+        ["sweep", "--config", "c.ini", "--seed", "123"],
+        ["sweep", "--config", "c.ini", "--format", "json"],
+        ["verify", "--budget", "12", "--seed", "1"],
+        ["verify", "--budget", "12", "--config", "c.ini"],
+        ["fit", "--rows", "r.csv", "--threads", "2"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_undeclared_shared_flag_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config_seed,seed_flag,expected",
+    [(None, None, 0), (11, None, 11), (11, 0, 0), (11, 5, 5), (None, 5, 5)],
+    ids=["neither", "config-only", "flag-0-beats-config", "flag-beats-config", "flag-only"],
+)
+def test_seed_rule_flag_then_config_then_zero(tmp_path, capsys, config_seed, seed_flag, expected):
+    cfg = tmp_path / "d.ini"
+    text = "[distribution]\nfamily = heavy-radial\nn = 3\neta = 4\n"
+    cfg.write_text(text if config_seed is None else text + f"seed = {config_seed}\n")
+    flag = [] if seed_flag is None else ["--seed", str(seed_flag)]
+    ref = tmp_path / "ref.ini"
+    ref.write_text(text)
+
+    def outputs(config, extra):
+        matrix = tmp_path / "m.bin"
+        assert cli.main(["sample", "--config", str(config), "--N", "6", "--out", str(matrix), *extra]) == 0
+        sample_line = capsys.readouterr().out
+        assert cli.main(["smallball", "--config", str(config), "--samples", "200", "--budget", "8", *extra]) == 0
+        curve = capsys.readouterr().out
+        assert cli.main(["rademacher", "--config", str(config), "--N", "20", "--draws", "50", "--method", "mc", *extra]) == 0
+        return sample_line, matrix.read_bytes(), curve, capsys.readouterr().out
+
+    got = outputs(cfg, flag)
+    want = outputs(ref, ["--seed", str(expected)])
+    assert got[0].endswith(f"(seed {expected})\n")
+    assert got == want

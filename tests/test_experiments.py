@@ -210,6 +210,26 @@ def test_run_sweep_row_and_summary_shapes():
     assert r.fit is None  # only 2 grid points
 
 
+def test_result_json_summary_fields():
+    r = ex.run_sweep(small_config(trials=2))
+    expected = [
+        "family",
+        "eta",
+        "n",
+        "N",
+        "beta",
+        "mean_lmin",
+        "median_lmin",
+        "p05_lmin",
+        "deficit",
+        "floor_regime",
+        "floor_value",
+        "precondition_ok",
+    ]
+    for summary in r.to_json_dict()["summaries"]:
+        assert list(summary) == expected
+
+
 def test_run_sweep_csv_headers(tmp_path):
     cfg = small_config()
     r = ex.run_sweep(cfg)

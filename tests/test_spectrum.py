@@ -20,7 +20,6 @@ def test_assemble_deterministic_and_scaled():
     m2 = sp.assemble(spec, 2, seed=7)
     assert np.array_equal(m1.values, m2.values)
     assert np.allclose(np.abs(m1.values), 1 / np.sqrt(2))
-    assert np.allclose(m1.raw_rows(), m1.values * np.sqrt(2))
 
 
 def test_assemble_row_norms_isotropy():

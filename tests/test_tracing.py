@@ -1,5 +1,5 @@
 """The benchmark's span tracer wraps lminlab functions by name and binds their
-parameters by name; a tiny smallball call and a tiny sweep run through it, so
+parameters by name; tiny smallball calls and a tiny sweep run through it, so
 a renamed target or parameter fails here."""
 
 import importlib.util
@@ -48,6 +48,7 @@ def test_traced_smallball_and_sweep(monkeypatch):
     tracer = tracing.Tracer()
     with tracing.installed(tracer, lm):
         curve = smallball.small_ball_curve(x, (0.1, 0.4), budget=24, rng=2)
+        smallball.q_inf_search(x, 0.2, budget=24, rng=2)
         result = experiments.run_sweep(cfg, threads=1)
     assert smallball.small_ball_curve is original
 
