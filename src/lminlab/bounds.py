@@ -147,7 +147,7 @@ def _require_finite(**values: float) -> None:
 
 
 def regime_for_eta(eta: float) -> str:
-    if eta <= 0:
+    if not (eta > 0):
         raise InvalidParameterError(f"eta must be > 0, got {eta}")
     if abs(eta - 2.0) <= ETA_EQ_TOL:
         return "eta-eq-2"
@@ -327,9 +327,9 @@ def fit_deficit(rows, rate, regime: str) -> FitResult:
     """Fit log(deficit) on log(rate(beta)) over (beta, deficit) rows.
 
     Rows with deficit <= 0 are excluded (and counted); at least 4 usable rows
-    are required and ``rate`` must be positive on each.  A non-finite beta or
-    deficit is an input error.  ``regime`` labels the result.  The half-width
-    is 2 standard errors of the slope (inf without residual degrees of freedom).
+    with at least 2 distinct betas are required and ``rate`` must be positive
+    on each.  A non-finite beta or deficit is an input error.  ``regime``
+    labels the result.  The half-width is 2 standard errors of the slope.
     """
     rows = list(rows)
     for b, d in rows:
@@ -344,17 +344,15 @@ def fit_deficit(rows, rate, regime: str) -> FitResult:
     if np.any(x <= 0):
         raise CalibrationUnavailableError("rate variable vanishes on the grid (beta = 1 row?)")
     lx, ly = np.log(x), np.log(np.array([d for _, d in usable]))
+    if np.all(lx == lx[0]):
+        raise CalibrationUnavailableError("need >= 2 distinct betas among the usable rows, got 1")
     A = np.vstack([lx, np.ones_like(lx)]).T
     coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
     slope, intercept = float(coef[0]), float(coef[1])
     resid = ly - (slope * lx + intercept)
-    dof = len(usable) - 2
-    if dof > 0:
-        s2 = float(resid @ resid) / dof
-        sxx = float(((lx - lx.mean()) ** 2).sum())
-        half = 2.0 * math.sqrt(s2 / sxx) if sxx > 0 else math.inf
-    else:
-        half = math.inf
+    s2 = float(resid @ resid) / (len(usable) - 2)
+    sxx = float(((lx - lx.mean()) ** 2).sum())
+    half = 2.0 * math.sqrt(s2 / sxx)
     return FitResult(
         exponent=slope,
         constant=float(math.exp(intercept)),

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
-from scipy import integrate
-from scipy.special import erfc, gammaln
 
 from .errors import InvalidParameterError, UnsupportedQueryError
 from .streams import as_generator
@@ -246,12 +244,12 @@ def sample_matrix(spec: DistributionSpec, m: int, rng: np.random.Generator | int
 
 def _sphere_proj_const(n: int) -> float:
     """Normalizer c_n of the sphere-projection density c_n (1-z^2)^((n-3)/2)."""
-    return math.exp(gammaln(n / 2.0) - gammaln((n - 1) / 2.0)) / math.sqrt(math.pi)
+    return math.exp(math.lgamma(n / 2.0) - math.lgamma((n - 1) / 2.0)) / math.sqrt(math.pi)
 
 
 def _proj_abs_moment(n: int, q: float) -> float:
     """E |Z|^q for Z = <theta, e1>, theta uniform on the unit sphere in R^n."""
-    return math.exp(gammaln(n / 2.0) + gammaln((q + 1.0) / 2.0) - gammaln((n + q) / 2.0)) / math.sqrt(math.pi)
+    return math.exp(math.lgamma(n / 2.0) + math.lgamma((q + 1.0) / 2.0) - math.lgamma((n + q) / 2.0)) / math.sqrt(math.pi)
 
 
 def _pareto_survival(s: float, s0: float, eta: float) -> float:
@@ -262,6 +260,8 @@ def _pareto_survival(s: float, s0: float, eta: float) -> float:
 
 def _radial_tail(n: int, eta: float, u: float) -> float:
     """P{ sqrt(n) rho |Z| >= u } by quadrature over the sphere projection."""
+    from scipy import integrate  # loaded on first use, off lminlab's import path
+
     if u <= 0:
         return 1.0
     s0 = pareto_threshold(eta)
@@ -304,7 +304,7 @@ def theoretical_tail(spec: DistributionSpec, u: float) -> float:
     if u == 0:
         return 1.0
     if fam == "gaussian-iid":
-        return float(erfc(u / math.sqrt(2.0)))
+        return math.erfc(u / math.sqrt(2.0))
     if fam == "heavy-iid":
         return _pareto_survival(u, pareto_threshold(spec.eta), spec.eta)
     if fam == "heavy-radial":
@@ -313,7 +313,7 @@ def theoretical_tail(spec: DistributionSpec, u: float) -> float:
         return 1.0 if u <= 1.0 else 0.0
     if fam == "atomic-mixture":
         p = spec.mixture_p
-        return float((1.0 - p) * erfc(u * math.sqrt((1.0 - p) / 2.0)))
+        return float((1.0 - p) * math.erfc(u * math.sqrt((1.0 - p) / 2.0)))
     if fam == "uniform-cube":
         return max(0.0, 1.0 - u / math.sqrt(3.0))
     raise UnsupportedQueryError(f"{fam} has no analytic marginal tail")  # pragma: no cover
@@ -326,7 +326,7 @@ def marginal_abs_moment(spec: DistributionSpec, q: float) -> float:
     if not spec.analytic["moments"]:
         raise UnsupportedQueryError(f"{spec.family} has no analytic moments")
     fam = spec.family
-    gauss = math.exp(q / 2.0 * math.log(2.0) + gammaln((q + 1.0) / 2.0)) / math.sqrt(math.pi)
+    gauss = math.exp(q / 2.0 * math.log(2.0) + math.lgamma((q + 1.0) / 2.0)) / math.sqrt(math.pi)
     if fam == "gaussian-iid":
         return gauss
     if fam == "heavy-iid":

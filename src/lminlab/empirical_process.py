@@ -26,8 +26,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.optimize import linprog
 
 from .errors import BudgetExceededError, InvalidInputError, InvalidParameterError
 from .rademacher import _all_sign_vectors
@@ -87,6 +85,8 @@ def tail_integral(tail: Callable[[float], float], a_trunc: float) -> float:
         local_exp = math.log(t2 / t4) / math.log(2.0)
         if local_exp <= 2.0 + 1e-9:
             return math.inf
+    from scipy import integrate  # loaded on first use, off lminlab's import path
+
     val, _ = integrate.quad(
         lambda u: 2.0 * u * tail(u), a_trunc, np.inf, epsabs=1e-14, epsrel=1e-10, limit=400
     )
@@ -234,6 +234,8 @@ def _halfspace_separable(inside: np.ndarray, outside: np.ndarray) -> bool:
     """
     if inside.size == 0 or outside.size == 0:
         return True  # a far-away halfspace realizes the empty/full dichotomy
+    from scipy.optimize import linprog  # loaded on first use, off lminlab's import path
+
     dim = inside.shape[1]
     # variables: (w_1..w_dim, b); constraints as A_ub z <= b_ub
     a_in = -np.hstack([inside, np.ones((len(inside), 1))])

@@ -69,6 +69,8 @@ class ExperimentConfig:
         for b in self.beta_grid:
             if not (0 < b <= 1):
                 raise InvalidParameterError(f"beta values must be in (0, 1], got {b}")
+        if len(set(self.beta_grid)) < len(self.beta_grid):
+            raise InvalidParameterError(f"beta values must be distinct, got {list(self.beta_grid)}")
         if self.trials < 1:
             raise InvalidParameterError(f"trials must be >= 1, got {self.trials}")
 
@@ -264,7 +266,8 @@ class _SingleThreadedBlas:
     are process state, so overlapping holders share one pin: the first to
     enter saves the counts, the last to leave restores them, also when the
     body raises.  Without a control symbol (a non-OpenBLAS build) it does
-    nothing.
+    nothing.  Only libraries loaded on entry are pinned, so no code a trial
+    runs may import scipy, whose OpenBLAS would run unpinned.
     """
 
     def __init__(self):

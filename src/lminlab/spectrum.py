@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from .distributions import DistributionSpec, sample_matrix
 from .errors import InvalidInputError, InvalidParameterError, NoConvergenceError
@@ -147,6 +146,8 @@ def lambda_min_power(
     stabilizes, then two Rayleigh-quotient steps polish the estimate.  Raises
     ``NoConvergenceError`` with diagnostics at the iteration cap.
     """
+    from scipy import linalg as sla  # loaded on first use, off lminlab's import path
+
     g = gram(m)
     n = g.shape[0]
     ident = np.eye(n)

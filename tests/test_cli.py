@@ -185,6 +185,33 @@ def test_bounds_tail_rejects_small_L(capsys, L):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_bounds_tail_rejects_nan_eta(capsys):
+    rc = cli.main(["bounds", "--regime", "tail", "--eta", "nan", "--beta", "0.25", "--N", "100"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: eta must be > 0, got nan\n"
+
+
+def test_fit_single_beta_exits_2(tmp_path, capsys):
+    rows = tmp_path / "rows.csv"
+    rows.write_text("beta,deficit\n0.25,0.1\n0.25,0.2\n0.25,0.3\n0.25,0.4\n")
+    rc = cli.main(["fit", "--rows", str(rows), "--format", "json"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "distinct betas" in captured.err and captured.out == ""
+
+
+def test_sweep_rejects_duplicate_betas(tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(
+        "[distribution]\nfamily = gaussian-iid\nn = 4\n\n"
+        "[sweep]\nbeta_grid = 0.25 0.25 0.125 0.0625 0.03125\ntrials = 10\nseed = 1\n"
+    )
+    rc = cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "beta values must be distinct" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

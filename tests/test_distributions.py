@@ -2,10 +2,11 @@
 declared tails, determinism, config round-trips."""
 
 import math
+import types
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from lminlab import distributions as dist
 from lminlab.errors import InvalidParameterError, UnsupportedQueryError
@@ -213,6 +214,33 @@ def test_marginal_moments_quadrature_oracle():
                 spec.family,
                 q,
             )
+
+
+def test_closed_forms_match_scipy_special(monkeypatch):
+    """math.erfc/math.lgamma stand in for scipy.special's erfc/gammaln; the
+    reference is the same code with scipy.special's functions swapped back in."""
+    specs = [
+        dist.DistributionSpec("gaussian-iid", 6),
+        dist.DistributionSpec("atomic-mixture", 6, mixture_p=0.3),
+        dist.DistributionSpec("heavy-radial", 8, eta=5.0),
+        dist.DistributionSpec("heavy-radial", 64, eta=5.0),
+    ]
+    u_grid, q_grid = (0.1, 0.5, 1.0, 2.0, 3.5, 5.0), (0.5, 1.0, 2.0, 3.0, 4.0, 6.5)
+
+    def values():
+        out = []
+        for spec in specs:
+            out += [dist.theoretical_tail(spec, u) for u in u_grid]
+            out += [dist.marginal_abs_moment(spec, q) for q in q_grid]
+        out += [dist._proj_abs_moment(n, q) for n in (2, 3, 8, 64) for q in q_grid]
+        return out
+
+    got = values()
+    scipy_math = types.SimpleNamespace(**{k: v for k, v in vars(math).items() if not k.startswith("_")})
+    scipy_math.erfc = lambda x: float(special.erfc(x))
+    scipy_math.lgamma = lambda x: float(special.gammaln(x))
+    monkeypatch.setattr(dist, "math", scipy_math)
+    assert got == pytest.approx(values(), rel=1e-13, abs=0)
 
 
 def test_marginal_moment_divergence():

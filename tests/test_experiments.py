@@ -126,6 +126,58 @@ def test_sweep_output_independent_of_blas_and_pool_threads(tmp_path):
     assert len(set(hashes.values())) == 1, hashes
 
 
+def _run_fresh_python(code: str, tmp_path) -> subprocess.CompletedProcess:
+    src = str(Path(lminlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+@pytest.mark.parametrize(
+    "distribution",
+    [
+        "family = gaussian-iid",
+        "family = heavy-iid\neta = 1.5",
+        "family = heavy-radial\neta = 5",
+        "family = rademacher-vec",
+        "family = atomic-mixture\nmixture_p = 0.3",
+        "family = uniform-cube",
+    ],
+    ids=lambda d: d.split()[2],
+)
+def test_cli_sweep_never_imports_scipy(tmp_path, distribution):
+    """The sweep pins only the BLAS libraries loaded when it starts, so
+    neither ``import lminlab.cli`` nor a trial may load scipy (and with it
+    scipy's own OpenBLAS)."""
+    (tmp_path / "cfg.ini").write_text(
+        f"[distribution]\n{distribution}\nn = 4\n\n[sweep]\nbeta_grid = 0.5 0.25\ntrials = 2\nseed = 3\n"
+    )
+    code = (
+        "import sys\n"
+        "from lminlab import cli\n"
+        "assert 'scipy' not in sys.modules, 'import'\n"
+        "assert cli.main(['sweep', '--config', 'cfg.ini', '--threads', '2', '--out', 'run']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'sweep'\n"
+    )
+    proc = _run_fresh_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_loads_scipy_on_first_use(tmp_path):
+    code = (
+        "import sys\n"
+        "from lminlab import cli\n"
+        "assert 'scipy' not in sys.modules, 'import'\n"
+        "rc = cli.main(['verify', '--budget', '10'])\n"
+        "assert 'scipy' in sys.modules, 'verify'\n"
+        "sys.exit(rc)\n"
+    )
+    proc = _run_fresh_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "overall: PASS (budget 10)"
+
+
 @pytest.fixture
 def blas_two_threads():
     """Every loaded OpenBLAS at two threads for the test, restored after."""
