@@ -7,8 +7,10 @@ Subpackages:
 - ``spectrum``: row-normalized sample matrices and extreme singular values
 - ``smallball``: sandwich estimates of the small-ball function Q(u)
 - ``rademacher``: Rademacher complexity of the linear class
-- ``bounds``: floor/probability predictions with calibratable constants
-- ``empirical_process``: truncation, dyadic levels, VC checks, exact tiny oracle
+- ``bounds``: floor/probability predictions with overridable constants and
+  single-point anchor calibration
+- ``empirical_process``: truncation ramp, second-moment identity, VC
+  brute force, exact tiny oracle
 - ``experiments``: beta-sweep harness, exponent fits, verification suite, CLI
 """
 

@@ -3,9 +3,9 @@
 Every theorem-shaped floor is evaluated with explicit, overridable constants
 (all default to 1; the underlying results only prove existence).  Floors that
 come out <= 0 are reported as-is with a "vacuous" flag -- only probabilities
-clamp to [0, 1].  Calibration fits a multiplicative constant empirically at an
-anchor and holds it fixed, which keeps the floors falsifiable on holdout grid
-points.
+clamp to [0, 1].  ``anchor_constant`` calibrates a regime's multiplicative
+constant at one anchor grid point; holding it fixed keeps the floor
+falsifiable on holdout grid points.
 
 Regimes over the tail surplus eta (aspect ratio beta = n/N):
 
@@ -24,45 +24,17 @@ small-ball floor c2 tau sqrt(Q(2tau)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-
-import numpy as np
+from dataclasses import dataclass, fields
 
 from .distributions import CovarianceBand
-from .errors import CalibrationUnavailableError, InvalidInputError, InvalidParameterError
+from .errors import CalibrationUnavailableError, InvalidParameterError
 
 ETA_EQ_TOL = 1e-9
-
-REGIMES = (
-    "eta-gt-2",
-    "eta-eq-2",
-    "eta-lt-2",
-    "basic-smallball",
-    "isomorphic",
-    "general-smallball",
-)
-
-_CONSTANT_NAMES = (
-    "c0",
-    "c1",
-    "c2",
-    "c3",
-    "c4",
-    "c5",
-    "c6",
-    "kappa",
-    "iso_c0",
-    "iso_c1",
-    "iso_c2",
-    "gen_c1",
-    "gen_c2",
-    "gen_c3",
-)
 
 
 @dataclass(frozen=True)
 class ConstantSet:
-    """Named positive constants with provenance ("default" or "calibrated")."""
+    """Named positive floor constants; every field is one constant."""
 
     c0: float = 1.0
     c1: float = 1.0
@@ -71,42 +43,24 @@ class ConstantSet:
     c4: float = 1.0
     c5: float = 1.0
     c6: float = 1.0
-    kappa: float = 1.0
     iso_c0: float = 1.0
     iso_c1: float = 1.0
     iso_c2: float = 1.0
     gen_c1: float = 1.0
     gen_c2: float = 1.0
     gen_c3: float = 1.0
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in _CONSTANT_NAMES:
-            value = getattr(self, name)
+        for name, value in vars(self).items():
             if not (math.isfinite(value) and value > 0):
                 raise InvalidParameterError(f"constant {name} must be finite and > 0, got {value}")
 
-    def value(self, name: str) -> float:
-        if name not in _CONSTANT_NAMES:
-            raise InvalidParameterError(f"unknown constant {name!r}")
-        return getattr(self, name)
-
-    def origin(self, name: str) -> str:
-        return self.provenance.get(name, "default")
-
-    def with_value(self, name: str, value: float, origin: str = "calibrated") -> "ConstantSet":
-        if name not in _CONSTANT_NAMES:
-            raise InvalidParameterError(f"unknown constant {name!r}")
-        prov = dict(self.provenance)
-        prov[name] = origin
-        return replace(self, **{name: float(value), "provenance": prov})
-
     def to_config(self) -> dict[str, str]:
-        return {name: repr(getattr(self, name)) for name in _CONSTANT_NAMES}
+        return {name: repr(value) for name, value in vars(self).items()}
 
     @classmethod
     def from_config(cls, section: dict[str, str]) -> "ConstantSet":
-        unknown = set(section) - set(_CONSTANT_NAMES)
+        unknown = set(section) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidParameterError(f"unknown constant keys: {sorted(unknown)}")
         return cls(**{k: float(v) for k, v in section.items()})
@@ -155,10 +109,7 @@ def regime_for_eta(eta: float) -> str:
 
 
 def regime_rate(regime: str, beta: float, eta: float | None = None) -> float:
-    """Theoretical deficit-rate function of beta for a tail regime.
-
-    "power-law" is the raw beta scale used by generic scaling fits.
-    """
+    """Theoretical deficit-rate function of beta for a tail regime."""
     if not (0 < beta <= 1):
         raise InvalidParameterError(f"beta must be in (0, 1], got {beta}")
     if regime == "eta-gt-2":
@@ -169,8 +120,6 @@ def regime_rate(regime: str, beta: float, eta: float | None = None) -> float:
         if eta is None or not (0 < eta < 2):
             raise InvalidParameterError(f"eta-lt-2 rate needs eta in (0, 2), got {eta}")
         return (beta * math.log(1.0 / beta)) ** (eta / (2.0 + eta)) if beta < 1 else 0.0
-    if regime == "power-law":
-        return beta
     raise InvalidParameterError(f"unknown rate regime {regime!r}")
 
 
@@ -306,69 +255,6 @@ def general_floor(
     )
 
 
-# ---------------------------------------------------------------------------
-# calibration
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """Least-squares fit deficit ~ constant * rate(beta)^exponent."""
-
-    exponent: float
-    constant: float
-    half_width: float
-    n_used: int
-    n_excluded: int
-    regime: str
-
-
-def fit_deficit(rows, rate, regime: str) -> FitResult:
-    """Fit log(deficit) on log(rate(beta)) over (beta, deficit) rows.
-
-    Rows with deficit <= 0 are excluded (and counted); at least 4 usable rows
-    with at least 2 distinct betas are required and ``rate`` must be positive
-    on each.  A non-finite beta or deficit is an input error.  ``regime``
-    labels the result.  The half-width is 2 standard errors of the slope.
-    """
-    rows = list(rows)
-    for b, d in rows:
-        if not (math.isfinite(b) and math.isfinite(d)):
-            raise InvalidInputError(f"fit rows must be finite, got beta={b}, deficit={d}")
-    usable = [(b, d) for b, d in rows if d > 0]
-    if len(usable) < 4:
-        raise CalibrationUnavailableError(
-            f"need >= 4 rows with positive deficit, got {len(usable)}"
-        )
-    x = np.array([rate(b) for b, _ in usable])
-    if np.any(x <= 0):
-        raise CalibrationUnavailableError("rate variable vanishes on the grid (beta = 1 row?)")
-    lx, ly = np.log(x), np.log(np.array([d for _, d in usable]))
-    if np.all(lx == lx[0]):
-        raise CalibrationUnavailableError("need >= 2 distinct betas among the usable rows, got 1")
-    A = np.vstack([lx, np.ones_like(lx)]).T
-    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    slope, intercept = float(coef[0]), float(coef[1])
-    resid = ly - (slope * lx + intercept)
-    s2 = float(resid @ resid) / (len(usable) - 2)
-    sxx = float(((lx - lx.mean()) ** 2).sum())
-    half = 2.0 * math.sqrt(s2 / sxx)
-    return FitResult(
-        exponent=slope,
-        constant=float(math.exp(intercept)),
-        half_width=half,
-        n_used=len(usable),
-        n_excluded=len(rows) - len(usable),
-        regime=regime,
-    )
-
-
-def calibrate_constant(rows, regime: str, eta: float | None = None) -> FitResult:
-    """Fit the multiplicative constant and exponent of deficit vs
-    ``regime_rate(regime, beta, eta)`` (see ``fit_deficit``)."""
-    return fit_deficit(rows, lambda b: regime_rate(regime, b, eta), regime)
-
-
 def anchor_constant(deficit: float, beta: float, regime: str, eta: float | None = None) -> float:
     """Constant c with c * rate(beta) = deficit: single-point anchor calibration."""
     if deficit <= 0:
@@ -377,13 +263,3 @@ def anchor_constant(deficit: float, beta: float, regime: str, eta: float | None 
     if rate <= 0:
         raise CalibrationUnavailableError(f"rate vanishes at anchor beta={beta}")
     return deficit / rate
-
-
-_REGIME_CONSTANT = {"eta-gt-2": "c2", "eta-eq-2": "c4", "eta-lt-2": "c6"}
-
-
-def apply_calibration(k: ConstantSet, regime: str, constant: float) -> ConstantSet:
-    """Return constants with the regime's floor constant replaced (calibrated)."""
-    if regime not in _REGIME_CONSTANT:
-        raise InvalidParameterError(f"no floor constant associated with regime {regime!r}")
-    return k.with_value(_REGIME_CONSTANT[regime], constant)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -42,23 +41,6 @@ FAMILIES = (
 _HEAVY = ("heavy-iid", "heavy-radial")
 _ROTATION_INVARIANT = ("gaussian-iid", "heavy-radial", "atomic-mixture")
 
-# Which quantities have closed/quadrature forms, per family.
-#   tail    - coordinate-direction marginal tail
-#   moments - coordinate-direction absolute moments E|xi|^q
-#   band    - coordinate-direction L1/L2 band
-#   q       - sphere-infimum small-ball function (requires rotation invariance)
-_ANALYTIC = {
-    fam: MappingProxyType(
-        {
-            "tail": True,
-            "moments": True,
-            "band": True,
-            "q": fam in _ROTATION_INVARIANT,
-        }
-    )
-    for fam in FAMILIES
-}
-
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-11, limit=200)
 
 
@@ -70,10 +52,10 @@ class TailProfile:
     L: float = 1.0
 
     def __post_init__(self):
-        if self.eta < 0:
+        if not (self.eta >= 0):
             raise InvalidParameterError(f"eta must be >= 0, got {self.eta}")
-        if self.L < 1:
-            raise InvalidParameterError(f"L must be >= 1, got {self.L}")
+        if not (math.isfinite(self.L) and self.L >= 1):
+            raise InvalidParameterError(f"L must be finite and >= 1, got {self.L}")
 
     def bound(self, u: float) -> float:
         if u <= 0:
@@ -103,11 +85,11 @@ class CovarianceBand:
 class DistributionSpec:
     """Recipe for one isotropic family in dimension ``n``.
 
-    ``eta`` is required for the heavy families and rejected elsewhere;
-    ``mixture_p`` only applies to atomic-mixture.  ``L`` overrides the declared
-    tail constant (default 1.0; for heavy-radial the exact sphere-uniform
-    constant is available via :func:`radial_tail_constant`).  ``seed`` is
-    optional provenance carried through config round-trips.
+    A finite ``eta`` > 0 is required for the heavy families and rejected
+    elsewhere; ``mixture_p`` only applies to atomic-mixture.  ``L``, finite
+    and heavy families only, overrides the declared tail constant (see
+    ``tail``).  ``seed`` is an optional default seed carried through config
+    round-trips.
     """
 
     family: str
@@ -123,21 +105,20 @@ class DistributionSpec:
         if self.n < 1:
             raise InvalidParameterError(f"n must be >= 1, got {self.n}")
         if self.family in _HEAVY:
-            if self.eta is None or self.eta <= 0:
-                raise InvalidParameterError(f"{self.family} requires eta > 0, got {self.eta}")
+            if self.eta is None or not (math.isfinite(self.eta) and self.eta > 0):
+                raise InvalidParameterError(f"{self.family} requires a finite eta > 0, got {self.eta}")
         elif self.eta is not None:
             raise InvalidParameterError(f"eta only applies to heavy families, not {self.family}")
-        if self.L is not None and self.family not in _HEAVY:
-            raise InvalidParameterError("L only applies to heavy families")
+        if self.L is not None:
+            if self.family not in _HEAVY:
+                raise InvalidParameterError("L only applies to heavy families")
+            if not math.isfinite(self.L):
+                raise InvalidParameterError(f"L must be finite, got {self.L}")
         if self.family == "atomic-mixture":
             if not (0 <= self.mixture_p < 1):
                 raise InvalidParameterError(f"mixture_p must be in [0,1), got {self.mixture_p}")
         elif self.mixture_p != 0.0:
             raise InvalidParameterError("mixture_p only applies to atomic-mixture")
-
-    @property
-    def analytic(self) -> MappingProxyType:
-        return _ANALYTIC[self.family]
 
     @property
     def tail(self) -> TailProfile | None:
@@ -298,8 +279,6 @@ def theoretical_tail(spec: DistributionSpec, u: float) -> float:
     """
     if u < 0:
         raise InvalidParameterError(f"u must be >= 0, got {u}")
-    if not spec.analytic["tail"]:
-        raise UnsupportedQueryError(f"{spec.family} has no analytic marginal tail")
     fam = spec.family
     if u == 0:
         return 1.0
@@ -323,8 +302,6 @@ def marginal_abs_moment(spec: DistributionSpec, q: float) -> float:
     """E |<X, e1>|^q for a coordinate direction (inf if the moment diverges)."""
     if q <= 0:
         raise InvalidParameterError(f"q must be > 0, got {q}")
-    if not spec.analytic["moments"]:
-        raise UnsupportedQueryError(f"{spec.family} has no analytic moments")
     fam = spec.family
     gauss = math.exp(q / 2.0 * math.log(2.0) + math.lgamma((q + 1.0) / 2.0)) / math.sqrt(math.pi)
     if fam == "gaussian-iid":
@@ -357,8 +334,6 @@ def analytic_band(spec: DistributionSpec) -> CovarianceBand:
     sphere-uniform value, otherwise it is a coordinate-direction value only
     (use the empirical moment-ratio search for a sphere-wide estimate).
     """
-    if not spec.analytic["band"]:
-        raise UnsupportedQueryError(f"{spec.family} has no analytic band")
     l1 = marginal_abs_moment(spec, 1.0)
     return CovarianceBand(a=1.0, A=1.0, B=max(1.0, 1.0 / l1))
 

@@ -5,9 +5,6 @@ Contents:
 - the piecewise-linear truncation phi_u squeezed between the indicators of
   {t >= u} and {t >= 2u}, Lipschitz with constant 1/u;
 - the exact layered-integral identity P_N f^2 = 2 int_0^inf u P_N{|f|>u} du;
-- the dyadic level decomposition (truncation level, per-level tail bounds);
-- net-based deviation estimates for the dyadic superlevel classes;
-- the four-term VC deviation formula;
 - a brute-force VC shattering checker at tiny dimension;
 - an exhaustive tiny-instance oracle that enumerates every sample multiset
   and every sign vector of a finite probability space, with exact rational
@@ -23,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,152 +67,6 @@ def second_moment_identity(values) -> tuple[float, float, float]:
     counts = N - np.arange(N)
     rhs = float((counts * (edges[1:] ** 2 - edges[:-1] ** 2)).sum() / N)
     return lhs, rhs, abs(lhs - rhs)
-
-
-def tail_integral(tail: Callable[[float], float], a_trunc: float) -> float:
-    """Quadrature of 2 int_A^inf u P{|f| > u} du (relative error <= 1e-8).
-
-    Returns inf when the integrand fails to decay faster than 1/u (tail
-    exponent <= 2), the divergent case.
-    """
-    if a_trunc <= 0:
-        raise InvalidParameterError(f"a_trunc must be > 0, got {a_trunc}")
-    t2, t4 = tail(2.0 * a_trunc), tail(4.0 * a_trunc)
-    if t2 > 0 and t4 > 0:
-        local_exp = math.log(t2 / t4) / math.log(2.0)
-        if local_exp <= 2.0 + 1e-9:
-            return math.inf
-    from scipy import integrate  # loaded on first use, off lminlab's import path
-
-    val, _ = integrate.quad(
-        lambda u: 2.0 * u * tail(u), a_trunc, np.inf, epsabs=1e-14, epsrel=1e-10, limit=400
-    )
-    return float(val)
-
-
-# ---------------------------------------------------------------------------
-# dyadic decomposition
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DyadicDecomposition:
-    """Truncation level and per-level tail bounds for a (eta, L) profile.
-
-    ``a_trunc`` = max((L/(eta*delta))^(1/eta), 1); ``j0`` is the smallest
-    integer with 2^j0 >= a_trunc; ``sigma_bounds[j-1]`` bounds the squared
-    level-j supremum sup_f P{|f| >= 2^j} by L 2^(-j(2+eta)) for j = 1..j0.
-    """
-
-    eta: float
-    L: float
-    delta: float
-    a_trunc: float
-    j0: int
-    sigma_bounds: tuple
-
-    @classmethod
-    def from_profile(cls, eta: float, L: float, delta: float) -> "DyadicDecomposition":
-        if eta <= 0:
-            raise InvalidParameterError(f"eta must be > 0, got {eta}")
-        if L < 1:
-            raise InvalidParameterError(f"L must be >= 1, got {L}")
-        if delta <= 0:
-            raise InvalidParameterError(f"delta must be > 0, got {delta}")
-        a = max((L / (eta * delta)) ** (1.0 / eta), 1.0)
-        j0 = 0
-        while 2.0**j0 < a:
-            j0 += 1
-        sig = tuple(L * 2.0 ** (-j * (2.0 + eta)) for j in range(1, j0 + 1))
-        return cls(eta=eta, L=L, delta=delta, a_trunc=a, j0=j0, sigma_bounds=sig)
-
-    @property
-    def levels(self) -> range:
-        return range(0, self.j0 + 1)
-
-
-@dataclass(frozen=True)
-class DyadicDeviation:
-    """Net-based lower estimate of a level's class deviation sup.
-
-    The max runs over a finite direction net and threshold grid inside the
-    level, both subsets of the class, so the true supremum can only be larger.
-    ``reference`` records whether reference probabilities were analytic or an
-    independent sample.
-    """
-
-    value: float
-    level: int
-    n_directions: int
-    n_thresholds: int
-    reference: str
-
-
-def dyadic_sup_dev(
-    samples: np.ndarray,
-    level: int,
-    directions: np.ndarray,
-    reference: Callable[[float], float] | np.ndarray,
-    n_thresholds: int = 9,
-) -> DyadicDeviation:
-    """Max over the net and a level-j threshold grid of |P_N - P|{|<X,t>| > u}.
-
-    Level 0 covers thresholds in (0, 1]; level j >= 1 covers [2^j, 2^(j+1)].
-    ``reference`` is either an analytic tail (direction-independent) or an
-    independent reference sample array.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[0] == 0:
-        raise InvalidInputError("samples must be a nonempty 2-D array")
-    directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    if level < 0:
-        raise InvalidParameterError(f"level must be >= 0, got {level}")
-    if level == 0:
-        us = np.linspace(1.0 / n_thresholds, 1.0, n_thresholds)
-    else:
-        us = np.linspace(2.0**level, 2.0 ** (level + 1), n_thresholds)
-
-    proj = np.abs(samples @ directions.T)  # (M, K)
-    emp = np.stack([(proj > u).mean(axis=0) for u in us])  # (n_u, K)
-    if callable(reference):
-        ref = np.array([reference(u) for u in us])[:, None]
-        kind = "analytic"
-    else:
-        ref_samples = np.asarray(reference, dtype=float)
-        rproj = np.abs(ref_samples @ directions.T)
-        ref = np.stack([(rproj > u).mean(axis=0) for u in us])
-        kind = "sample"
-    value = float(np.max(np.abs(emp - ref)))
-    return DyadicDeviation(
-        value=value,
-        level=level,
-        n_directions=directions.shape[0],
-        n_thresholds=n_thresholds,
-        reference=kind,
-    )
-
-
-def vc_deviation_bound(sigma: float, d: float, N: int, t: float, kappa: float = 1.0) -> float:
-    """Four-term class-deviation bound at class weakness sigma and VC dim d:
-
-    kappa (sigma sqrt(d/N log(e/sigma)) + d/N log(e/sigma)
-           + sigma sqrt(t/N) + t/N).
-    """
-    if not (0 < sigma <= 1):
-        raise InvalidParameterError(f"sigma must be in (0, 1], got {sigma}")
-    if d < 1 or N < 1:
-        raise InvalidParameterError(f"need d >= 1 and N >= 1, got d={d}, N={N}")
-    if t <= 0:
-        raise InvalidParameterError(f"t must be > 0, got {t}")
-    if kappa <= 0:
-        raise InvalidParameterError(f"kappa must be > 0, got {kappa}")
-    log_term = math.log(math.e / sigma)
-    return kappa * (
-        sigma * math.sqrt(d / N * log_term)
-        + d / N * log_term
-        + sigma * math.sqrt(t / N)
-        + t / N
-    )
 
 
 # ---------------------------------------------------------------------------

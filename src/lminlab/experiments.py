@@ -29,7 +29,7 @@ from . import empirical_process as ep
 from . import rademacher as rad
 from . import smallball as sb
 from . import spectrum as sp
-from .errors import ConfigError, InvalidParameterError
+from .errors import CalibrationUnavailableError, ConfigError, InvalidInputError, InvalidParameterError
 from .streams import SeedRecord
 
 ROWS_HEADER = ["family", "eta", "n", "N", "beta", "trial", "lambda_min", "lambda_max", "seed"]
@@ -112,7 +112,7 @@ class SweepResult:
     config_seed: int
     rows: tuple
     summaries: tuple
-    fit: bd.FitResult | None
+    fit: FitResult | None
     failures: tuple
 
     def rows_csv(self, path) -> None:
@@ -386,12 +386,60 @@ _FIT_RATES = {
 }
 
 
-def fit_exponent(rows, regime: str = "eta-gt-2") -> bd.FitResult:
-    """Least-squares scaling exponent of deficit vs the regime's rate variable
-    (see ``bounds.fit_deficit``)."""
+@dataclass(frozen=True)
+class FitResult:
+    """Least-squares fit deficit ~ constant * rate(beta)^exponent."""
+
+    exponent: float
+    constant: float
+    half_width: float
+    n_used: int
+    n_excluded: int
+    regime: str
+
+
+def fit_exponent(rows, regime: str = "eta-gt-2") -> FitResult:
+    """Fit log(deficit) on log(rate(beta)) over (beta, deficit) rows, with the
+    regime's rate variable from ``_FIT_RATES``.
+
+    Rows with deficit <= 0 are excluded (and counted); at least 4 usable rows
+    with at least 2 distinct betas are required and the rate must be positive
+    on each.  A non-finite beta or deficit is an input error.  The half-width
+    is 2 standard errors of the slope.
+    """
     if regime not in _FIT_RATES:
         raise InvalidParameterError(f"unknown regime {regime!r}")
-    return bd.fit_deficit(rows, _FIT_RATES[regime], regime)
+    rate = _FIT_RATES[regime]
+    rows = list(rows)
+    for b, d in rows:
+        if not (math.isfinite(b) and math.isfinite(d)):
+            raise InvalidInputError(f"fit rows must be finite, got beta={b}, deficit={d}")
+    usable = [(b, d) for b, d in rows if d > 0]
+    if len(usable) < 4:
+        raise CalibrationUnavailableError(
+            f"need >= 4 rows with positive deficit, got {len(usable)}"
+        )
+    x = np.array([rate(b) for b, _ in usable])
+    if np.any(x <= 0):
+        raise CalibrationUnavailableError("rate variable vanishes on the grid (beta = 1 row?)")
+    lx, ly = np.log(x), np.log(np.array([d for _, d in usable]))
+    if np.all(lx == lx[0]):
+        raise CalibrationUnavailableError("need >= 2 distinct betas among the usable rows, got 1")
+    A = np.vstack([lx, np.ones_like(lx)]).T
+    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
+    slope, intercept = float(coef[0]), float(coef[1])
+    resid = ly - (slope * lx + intercept)
+    s2 = float(resid @ resid) / (len(usable) - 2)
+    sxx = float(((lx - lx.mean()) ** 2).sum())
+    half = 2.0 * math.sqrt(s2 / sxx)
+    return FitResult(
+        exponent=slope,
+        constant=float(math.exp(intercept)),
+        half_width=half,
+        n_used=len(usable),
+        n_excluded=len(rows) - len(usable),
+        regime=regime,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +450,15 @@ _SWEEP_KEYS = {"beta_grid", "trials", "seed"}
 _OUTPUT_KEYS = {"rows", "summary", "result"}
 
 
-def _read_config(path) -> configparser.ConfigParser:
+def _new_parser() -> configparser.ConfigParser:
+    """A config parser that keeps key case (``L`` is not ``l``)."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.optionxform = str
+    return parser
+
+
+def _read_config(path) -> configparser.ConfigParser:
+    parser = _new_parser()
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -491,7 +546,7 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def write_config(cfg: ExperimentConfig, path) -> None:
-    parser = configparser.ConfigParser()
+    parser = _new_parser()
     parser["distribution"] = dist.spec_to_config(cfg.spec)
     parser["sweep"] = {
         "beta_grid": " ".join(repr(float(b)) for b in cfg.beta_grid),
@@ -535,19 +590,24 @@ class VerifyReport:
         }
 
 
-def verify_suite(budget: int = 100, overrides: dict | None = None, seed: int = 20260809) -> VerifyReport:
+_VERIFY_SEED = 20260809
+
+
+def verify_suite(budget: int = 100) -> VerifyReport:
     """One-command execution of the module invariants and oracles.
 
-    ``budget`` scales the oracle battery and instance counts; checks whose
-    minimum cost exceeds the budget are reported as "skipped".  ``overrides``
-    swaps named operations for corrupted variants (mutation testing of the
-    suite itself): supported keys "phi".
+    ``budget`` (>= 1) scales the oracle battery and instance counts; checks
+    whose minimum cost exceeds the budget are reported as "skipped".  Every
+    check draws from one generator with a fixed seed.  The truncation ramp
+    is looked up as ``empirical_process.truncation_phi`` on each call, so a
+    corrupted ramp patched in there must make the phi checks fail.
     """
-    overrides = overrides or {}
-    rng = np.random.default_rng(seed)
+    if budget < 1:
+        raise InvalidParameterError(f"budget must be >= 1, got {budget}")
+    rng = np.random.default_rng(_VERIFY_SEED)
     checks: list[CheckResult] = []
 
-    phi = overrides.get("phi", ep.truncation_phi)
+    phi = ep.truncation_phi
 
     def add(name, ok, detail):
         checks.append(CheckResult(name, "pass" if ok else "fail", detail))

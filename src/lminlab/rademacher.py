@@ -47,7 +47,8 @@ def rademacher_linear(
     """Estimate E_eps ||(1/N) sum eps_j X_j|| for the given raw sample rows.
 
     ``method`` is "auto" (exact enumeration when N <= 14, else Monte Carlo),
-    "exact", or "mc".  Exact results have stderr 0.
+    "exact", or "mc".  Exact results have stderr 0; Monte Carlo needs
+    ``draws`` >= 2 for its standard error.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.size == 0:
@@ -65,12 +66,12 @@ def rademacher_linear(
         norms = np.linalg.norm(signs @ rows, axis=1) / N
         return RademacherEstimate(value=float(norms.mean()), stderr=0.0, draws=1 << N, exact=True)
 
-    if draws < 1:
-        raise InvalidParameterError(f"draws must be >= 1, got {draws}")
+    if draws < 2:
+        raise InvalidParameterError(f"draws must be >= 2 for a standard error, got {draws}")
     rng = as_generator(rng)
     signs = rng.integers(0, 2, size=(draws, N)) * 2.0 - 1.0
     norms = np.linalg.norm(signs @ rows, axis=1) / N
-    stderr = float(norms.std(ddof=1) / np.sqrt(draws)) if draws > 1 else float("inf")
+    stderr = float(norms.std(ddof=1) / np.sqrt(draws))
     return RademacherEstimate(value=float(norms.mean()), stderr=stderr, draws=draws, exact=False)
 
 

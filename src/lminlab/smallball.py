@@ -154,7 +154,7 @@ def moment_ratios(
     if p <= 1:
         raise InvalidParameterError(f"p must be > 1, got {p}")
     if isinstance(source, DistributionSpec):
-        if not source.analytic["q"]:
+        if not source.rotation_invariant:
             raise UnsupportedQueryError(
                 f"{source.family} is not rotation-invariant; use the empirical path"
             )
@@ -253,14 +253,15 @@ def small_ball_curve(
     budget: int = 256,
     p: float = 2.0,
     rng: np.random.Generator | int | None = None,
-    ratios: MomentRatios | None = None,
 ) -> SmallBallCurve:
     """Build the sandwich curve over an ascending threshold grid.
 
     One direction pool serves every u: base pool first, then refinement
     rounds against each grid point append their candidates, and the final
     minima are taken over the full pool at every u.  Minimizing over a common
-    set makes the upper estimates nonincreasing in u by construction.
+    set makes the upper estimates nonincreasing in u by construction.  The
+    lower side is the Paley-Zygmund bound from ``moment_ratios`` of the same
+    samples, drawing its directions from the same generator afterwards.
     """
     samples = _as_samples(samples)
     u_grid = np.asarray(u_grid, dtype=float)
@@ -287,8 +288,7 @@ def small_ball_curve(
         indices[i] = int(np.argmin(fracs))
         upper[i] = float(fracs[indices[i]])
 
-    if ratios is None:
-        ratios = moment_ratios(samples, p=p, budget=budget, rng=rng)
+    ratios = moment_ratios(samples, p=p, budget=budget, rng=rng)
     lower = np.array([paley_zygmund_lower(ratios, u).value for u in u_grid])
 
     return SmallBallCurve(

@@ -25,7 +25,7 @@ _HEADER = struct.Struct("<IQQQQQ")  # after the magic: version, N, n, seed field
 
 @dataclass(frozen=True)
 class SampleMatrix:
-    """N x n array of rows X_i/sqrt(N) with seed provenance."""
+    """N x n array of rows X_i/sqrt(N) with the seed record it was drawn from."""
 
     N: int
     n: int
@@ -133,18 +133,19 @@ def lambda_extremes(m: SampleMatrix) -> SpectralResult:
     return SpectralResult(lambda_min=lam_min, lambda_max=lam_max, method="sym-eig", residual=res / scale)
 
 
-def lambda_min_power(
-    m: SampleMatrix,
-    shift: float = 0.0,
-    tol: float = 1e-13,
-    max_iter: int = 20000,
-) -> float:
-    """Smallest eigenvalue of the Gram matrix by shifted inverse iteration.
+_POWER_TOL = 1e-13
+_POWER_MAX_ITER = 20000
+
+
+def lambda_min_power(m: SampleMatrix) -> float:
+    """Smallest eigenvalue of the Gram matrix by inverse iteration.
 
     Independent validation path for ``lambda_extremes`` (compare against
-    lambda_min**2).  Fixed-shift iteration runs until the Rayleigh quotient
-    stabilizes, then two Rayleigh-quotient steps polish the estimate.  Raises
-    ``NoConvergenceError`` with diagnostics at the iteration cap.
+    lambda_min**2).  Unshifted inverse iteration runs until the Rayleigh
+    quotient changes by at most ``_POWER_TOL`` (relative), then two
+    Rayleigh-quotient steps polish the estimate.  Raises
+    ``NoConvergenceError`` with diagnostics after ``_POWER_MAX_ITER``
+    iterations.
     """
     from scipy import linalg as sla  # loaded on first use, off lminlab's import path
 
@@ -152,29 +153,29 @@ def lambda_min_power(
     n = g.shape[0]
     ident = np.eye(n)
     try:
-        lu = sla.lu_factor(g - shift * ident)
+        lu = sla.lu_factor(g)
     except ValueError as exc:
-        raise InvalidInputError(f"gram - shift*I not factorizable: {exc}") from exc
+        raise InvalidInputError(f"gram not factorizable: {exc}") from exc
     # Deterministic start vector with a ramp so it is not an eigenvector of
     # structured test matrices.
     v = np.ones(n) + np.linspace(0.0, 0.5, n)
     v /= np.linalg.norm(v)
     est = float("inf")
-    for it in range(1, max_iter + 1):
+    for _ in range(_POWER_MAX_ITER):
         w = sla.lu_solve(lu, v)
         norm_w = np.linalg.norm(w)
         if not np.isfinite(norm_w) or norm_w == 0.0:
             if not np.isfinite(est):
-                raise InvalidInputError("gram - shift*I is numerically singular")
+                raise InvalidInputError("gram is numerically singular")
             break  # solve blew up: v is numerically the eigenvector already
         v = w / norm_w
         new_est = float(v @ g @ v)
-        if abs(new_est - est) <= tol * max(1.0, abs(new_est)):
+        if abs(new_est - est) <= _POWER_TOL * max(1.0, abs(new_est)):
             est = new_est
             break
         est = new_est
     else:
-        raise NoConvergenceError("inverse power iteration did not converge", max_iter, est)
+        raise NoConvergenceError("inverse power iteration did not converge", _POWER_MAX_ITER, est)
     # Rayleigh-quotient polish (cubic); a singular factorization here means
     # the estimate is already at an eigenvalue.
     for _ in range(2):

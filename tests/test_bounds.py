@@ -1,4 +1,4 @@
-"""Tests for floor predictions, constants, and calibration."""
+"""Tests for floor predictions, constants, and anchor calibration."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 
 from lminlab import bounds as bd
 from lminlab.distributions import CovarianceBand
-from lminlab.errors import CalibrationUnavailableError, InvalidInputError, InvalidParameterError
+from lminlab.errors import InvalidParameterError
 
 K = bd.ConstantSet()
 
@@ -158,64 +158,16 @@ def test_general_floor_plugin_and_limits():
     assert p3.floor == pytest.approx(0.5 * math.sqrt(0.5))
 
 
-def test_calibrate_constant_exact_sqrt_beta():
-    betas = [0.5, 0.25, 0.125, 0.0625, 0.03125]
-    rows = [(b, 2 * math.sqrt(b)) for b in betas]
-    res = bd.calibrate_constant(rows, "eta-gt-2")
-    assert res.constant == pytest.approx(2.0, rel=1e-12)
-    assert res.exponent == pytest.approx(1.0, abs=1e-12)
-    assert res.half_width < 1e-10
-
-
-def test_calibrate_constant_power_law_third():
-    betas = [0.5, 0.25, 0.125, 0.0625, 0.03125]
-    rows = [(b, b ** (1 / 3)) for b in betas]
-    res = bd.calibrate_constant(rows, "power-law")
-    assert res.exponent == pytest.approx(1 / 3, abs=1e-10)
-    assert res.constant == pytest.approx(1.0, rel=1e-10)
-
-
-def test_calibrate_constant_eta_lt_2_rate():
-    betas = [0.5, 0.25, 0.125, 0.0625]
-    rows = [(b, (b * math.log(1 / b)) ** (1 / 3)) for b in betas]
-    res = bd.calibrate_constant(rows, "eta-lt-2", eta=1.0)
-    assert res.exponent == pytest.approx(1.0, abs=1e-10)
-
-
-def test_calibrate_constant_returns_fit_result():
-    betas = [0.5, 0.25, 0.125, 0.0625, 0.03125]
-    rows = [(b, 2 * math.sqrt(b)) for b in betas] + [(0.015625, 0.0)]
-    res = bd.calibrate_constant(rows, "eta-gt-2")
-    assert isinstance(res, bd.FitResult)
-    assert (res.n_used, res.n_excluded, res.regime) == (5, 1, "eta-gt-2")
-
-
-@pytest.mark.parametrize("bad", [(0.125, math.nan), (0.125, math.inf), (math.nan, 0.3), (-math.inf, 0.3)])
-def test_calibrate_constant_rejects_nonfinite_rows(bad):
-    rows = [(0.5, 0.7), (0.25, 0.5), (0.0625, 0.25), (0.03125, 0.18), bad]
-    with pytest.raises(InvalidInputError):
-        bd.calibrate_constant(rows, "eta-gt-2")
-
-
-def test_calibrate_constant_requires_rows():
-    with pytest.raises(CalibrationUnavailableError):
-        bd.calibrate_constant([(0.5, 0.1), (0.25, -1.0), (0.125, 0.0)], "eta-gt-2")
-
-
 def test_anchor_constant_and_apply():
     c = bd.anchor_constant(0.5, 0.25, "eta-gt-2")
     assert c == pytest.approx(1.0)
-    k2 = bd.apply_calibration(K, "eta-gt-2", c)
-    assert k2.c2 == c
-    assert k2.origin("c2") == "calibrated"
-    assert k2.origin("c1") == "default"
 
 
 def test_constant_set_config_roundtrip():
-    k = bd.ConstantSet().with_value("c2", 1.5).with_value("kappa", 0.3)
+    k = bd.ConstantSet(c2=1.5, gen_c1=0.3)
     section = k.to_config()
     k2 = bd.ConstantSet.from_config(section)
-    assert k2.c2 == 1.5 and k2.kappa == 0.3
+    assert k2 == k and k2.c2 == 1.5 and k2.gen_c1 == 0.3
     with pytest.raises(InvalidParameterError):
         bd.ConstantSet.from_config({"c99": "1.0"})
 
@@ -238,9 +190,8 @@ def test_constant_set_positive():
         lambda x: CovarianceBand(1.0, x, 1.0),
         lambda x: CovarianceBand(1.0, 1.0, x),
         lambda x: bd.ConstantSet(c2=x),
-        lambda x: K.with_value("gen_c1", x),
     ],
-    ids=["basic-tau", "basic-r_n", "general-tau", "general-A", "tail-L", "band-a", "band-A", "band-B", "constant", "with-value"],
+    ids=["basic-tau", "basic-r_n", "general-tau", "general-A", "tail-L", "band-a", "band-A", "band-B", "constant"],
 )
 def test_floors_reject_nonfinite_inputs(call, bad):
     with pytest.raises(InvalidParameterError, match="finite"):

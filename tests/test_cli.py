@@ -2,10 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from lminlab import cli
+from lminlab import distributions as dist
+from lminlab import experiments as ex
+from lminlab import rademacher as rad
 from lminlab import spectrum as sp
+from lminlab.errors import InvalidParameterError
 
 
 def test_sample_then_spectrum(tmp_path, capsys):
@@ -299,3 +304,49 @@ def test_seed_rule_flag_then_config_then_zero(tmp_path, capsys, config_seed, see
     want = outputs(ref, ["--seed", str(expected)])
     assert got[0].endswith(f"(seed {expected})\n")
     assert got == want
+
+
+@pytest.mark.parametrize("flag,value", [("--eta", "nan"), ("--eta", "inf"), ("--L", "nan"), ("--L", "inf")])
+def test_nonfinite_eta_or_L_rejected(tmp_path, capsys, flag, value):
+    key = flag[2:]
+    with pytest.raises(InvalidParameterError, match=f"{key}.*finite|finite {key}"):
+        dist.DistributionSpec("heavy-iid", 3, **{"eta": 2.0, key: float(value)})
+
+    matrix = tmp_path / "m.bin"
+    rc = cli.main(["sample", "--family", "heavy-iid", "--n", "3", "--N", "4", "--eta", "2", flag, value, "--out", str(matrix)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error:") and key in err and "finite" in err
+    assert not matrix.exists()
+
+    # a sweep config fails before any trial runs
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(
+        f"[distribution]\nfamily = heavy-iid\nn = 3\neta = 2\n{key} = {value}\n\n"
+        "[sweep]\nbeta_grid = 0.5 0.25\ntrials = 3\nseed = 1\n"
+    )
+    rc = cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert rc == 2 and "finite" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini"]
+
+
+@pytest.mark.parametrize("draws", [0, 1])
+def test_rademacher_mc_needs_two_draws(tmp_path, capsys, draws):
+    rows = np.ones((20, 3))
+    with pytest.raises(InvalidParameterError, match="draws must be >= 2"):
+        rad.rademacher_linear(rows, draws=draws, rng=0, method="mc")
+    out = tmp_path / "rad.json"
+    argv = ["rademacher", "--family", "gaussian-iid", "--n", "3", "--N", "20", "--method", "mc"]
+    rc = cli.main([*argv, "--draws", str(draws), "--format", "json", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: draws must be >= 2")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_verify_rejects_budget_below_one(capsys, budget):
+    with pytest.raises(InvalidParameterError, match="budget must be >= 1"):
+        ex.verify_suite(budget=budget)
+    rc = cli.main(["verify", "--budget", str(budget)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"error: budget must be >= 1, got {budget}\n" and captured.out == ""

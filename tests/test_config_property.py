@@ -1,0 +1,57 @@
+"""Property test: ``write_config`` then ``parse_config`` gives back an equal
+``ExperimentConfig`` for every family, with and without optional keys."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from lminlab import bounds as bd  # noqa: E402
+from lminlab import distributions as dist  # noqa: E402
+from lminlab import experiments as ex  # noqa: E402
+
+FINITE_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+CONSTANT_NAMES = list(bd.ConstantSet().to_config())
+PATHS = st.text(alphabet="abcxyz0123456789._/-", min_size=1, max_size=20)
+
+
+def optional(strategy):
+    return st.none() | strategy
+
+
+@st.composite
+def specs(draw):
+    family = draw(st.sampled_from(dist.FAMILIES))
+    kw = {"n": draw(st.integers(1, 10**6)), "seed": draw(optional(st.integers(0, 2**64 - 1)))}
+    if family in ("heavy-iid", "heavy-radial"):
+        kw["eta"] = draw(FINITE_POSITIVE)
+        kw["L"] = draw(optional(st.floats(min_value=1.0, allow_infinity=False)))
+    if family == "atomic-mixture":
+        kw["mixture_p"] = draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    return dist.DistributionSpec(family, **kw)
+
+
+@st.composite
+def configs(draw):
+    betas = draw(
+        st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True), min_size=1, max_size=6, unique=True)
+    )
+    constants = draw(st.dictionaries(st.sampled_from(CONSTANT_NAMES), FINITE_POSITIVE))
+    outputs = draw(st.fixed_dictionaries({}, optional={k: PATHS for k in ("rows", "summary", "result")}))
+    return ex.ExperimentConfig(
+        spec=draw(specs()),
+        beta_grid=tuple(betas),
+        trials=draw(st.integers(1, 10**6)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        constants=bd.ConstantSet(**constants),
+        outputs=ex.OutputPaths(**outputs),
+    )
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(cfg=configs())
+def test_write_then_parse_config_is_identity(tmp_path_factory, cfg):
+    path = tmp_path_factory.mktemp("cfg") / "cfg.ini"
+    ex.write_config(cfg, path)
+    assert ex.parse_config(path) == cfg

@@ -1,5 +1,5 @@
-"""Tests for the truncation ramp, exact identities, dyadic machinery, VC
-checks, and the exhaustive tiny-instance oracle."""
+"""Tests for the truncation ramp, exact identities, VC checks, and the
+exhaustive tiny-instance oracle."""
 
 import itertools
 import json
@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import erfc
 
 from lminlab import distributions as dist
 from lminlab import empirical_process as ep
@@ -78,51 +77,8 @@ def test_identity_random_battery():
 
 
 # ---------------------------------------------------------------------------
-# tail integral
+# dyadic level tails of the sharp marginal
 # ---------------------------------------------------------------------------
-
-
-def test_tail_integral_pure_pareto_closed_form():
-    # 2 int_2^inf u * u^-3 du = 1
-    assert ep.tail_integral(lambda u: min(1.0, u**-3.0), 2.0) == pytest.approx(1.0, rel=1e-9)
-
-
-def test_tail_integral_at_dyadic_truncation_level():
-    # with A = (L/(eta delta))^(1/eta) the pure-power integral equals exactly
-    # 2L/(eta A^eta) = 2 delta
-    L, eta, delta = 1.0, 1.0, 0.1
-    a = (L / (eta * delta)) ** (1 / eta)
-    val = ep.tail_integral(lambda u: L * u ** -(2 + eta), a)
-    assert val == pytest.approx(2 * L / (eta * a**eta), rel=1e-9)
-    assert val == pytest.approx(2 * delta, rel=1e-9)
-
-
-def test_tail_integral_gaussian_small():
-    val = ep.tail_integral(lambda u: float(erfc(u / math.sqrt(2))), 5.0)
-    assert 0 < val <= 1e-5
-
-
-def test_tail_integral_divergent_flagged_as_inf():
-    assert ep.tail_integral(lambda u: min(1.0, u**-2.0), 2.0) == math.inf
-
-
-# ---------------------------------------------------------------------------
-# dyadic decomposition and deviations
-# ---------------------------------------------------------------------------
-
-
-def test_dyadic_decomposition_level_bracketing():
-    d = ep.DyadicDecomposition.from_profile(eta=1.0, L=1.0, delta=0.1)
-    assert d.a_trunc == pytest.approx(10.0)
-    assert 2**d.j0 >= d.a_trunc > 2 ** (d.j0 - 1)
-    assert d.j0 == 4
-    assert len(d.sigma_bounds) == d.j0
-    assert all(a > b for a, b in zip(d.sigma_bounds, d.sigma_bounds[1:]))
-
-
-def test_dyadic_decomposition_unit_truncation():
-    d = ep.DyadicDecomposition.from_profile(eta=4.0, L=1.0, delta=10.0)
-    assert d.a_trunc == 1.0 and d.j0 == 0 and d.sigma_bounds == ()
 
 
 def test_dyadic_sigma_equality_for_sharp_marginal():
@@ -136,84 +92,9 @@ def test_dyadic_sigma_equality_for_sharp_marginal():
         assert tail == pytest.approx(sharp * 2.0 ** (-j * (2 + eta)), rel=1e-12)
 
 
-def test_dyadic_sup_dev_zero_for_identical_reference():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((5000, 4))
-    dirs = np.eye(4)
-    d = ep.dyadic_sup_dev(x, level=0, directions=dirs, reference=x)
-    assert d.value == 0.0
-    assert d.reference == "sample"
-
-
-def test_dyadic_sup_dev_rate_slope():
-    # deviation ~ 1/sqrt(N): fitted log-log slope within +-0.15 of -1/2
-    spec = dist.DistributionSpec("gaussian-iid", 4)
-    dirs = np.vstack([np.eye(4), -np.eye(4)])
-    ref = lambda u: dist.theoretical_tail(spec, u)  # noqa: E731
-    sizes = [200, 800, 3200, 12800, 51200]
-    devs = []
-    for i, m in enumerate(sizes):
-        reps = []
-        for r in range(8):
-            x = dist.sample_matrix(spec, m, np.random.default_rng(100 + 17 * i + r))
-            reps.append(ep.dyadic_sup_dev(x, level=0, directions=dirs, reference=ref).value)
-        devs.append(np.mean(reps))
-    slope = np.polyfit(np.log(sizes), np.log(devs), 1)[0]
-    assert abs(slope + 0.5) <= 0.15
-
-
-def test_dyadic_sup_dev_high_level_matches_tiny_tail():
-    # a level far above every sampled magnitude sees deviation = reference
-    # tail, which sits below the level's sigma^2 bound
-    eta = 1.0
-    spec = dist.DistributionSpec("heavy-iid", 3, eta=eta)
-    x = np.clip(dist.sample_matrix(spec, 2000, np.random.default_rng(3)), -7.9, 7.9)
-    ref = lambda u: dist.theoretical_tail(spec, u)  # noqa: E731
-    j = 3  # thresholds in [8, 16], above every clipped magnitude
-    d = ep.dyadic_sup_dev(x, level=j, directions=np.eye(3)[:1], reference=ref)
-    assert d.value == pytest.approx(dist.theoretical_tail(spec, 8.0), rel=1e-12)
-    assert d.value <= 1.0 * 2.0 ** (-j * (2 + eta))
-
-
 # ---------------------------------------------------------------------------
-# VC deviation formula and brute force
+# VC brute force
 # ---------------------------------------------------------------------------
-
-
-def test_vc_deviation_plugin_all_ones():
-    assert ep.vc_deviation_bound(1.0, 10, 10, 10.0, kappa=1.0) == pytest.approx(4.0)
-
-
-def test_vc_deviation_log_arithmetic():
-    sigma = math.exp(-2)
-    val = ep.vc_deviation_bound(sigma, 10, 10, 1e-12, kappa=1.0)
-    # first two terms use log(e/sigma) = 3
-    expected = sigma * math.sqrt(3.0) + 3.0
-    assert val == pytest.approx(expected, abs=1e-5)
-
-
-def test_vc_deviation_validates_sigma():
-    with pytest.raises(InvalidParameterError):
-        ep.vc_deviation_bound(1.5, 10, 10, 1.0)
-    with pytest.raises(InvalidParameterError):
-        ep.vc_deviation_bound(0.0, 10, 10, 1.0)
-
-
-def test_vc_deviation_covers_measured_net_deviations():
-    # MC coverage experiment: with kappa = 1 and t = log(2/0.05), the bound at
-    # d = 3n exceeds the measured level-0 net deviation in >= 95% of trials
-    spec = dist.DistributionSpec("gaussian-iid", 4)
-    dirs = np.vstack([np.eye(4), -np.eye(4)])
-    ref = lambda u: dist.theoretical_tail(spec, u)  # noqa: E731
-    N = 600
-    bound = ep.vc_deviation_bound(1.0, 3 * 4, N, math.log(2 / 0.05), kappa=1.0)
-    covered = 0
-    trials = 200
-    for r in range(trials):
-        x = dist.sample_matrix(spec, N, np.random.default_rng(1000 + r))
-        if ep.dyadic_sup_dev(x, 0, dirs, ref).value <= bound:
-            covered += 1
-    assert covered / trials >= 0.95
 
 
 def test_vc_halfspaces_planar_generic():

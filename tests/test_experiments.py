@@ -18,7 +18,7 @@ import lminlab
 from lminlab import bounds as bd
 from lminlab import distributions as dist
 from lminlab import experiments as ex
-from lminlab.errors import CalibrationUnavailableError, ConfigError, InvalidParameterError
+from lminlab.errors import CalibrationUnavailableError, ConfigError, InvalidInputError, InvalidParameterError
 
 CONFIG_TEXT = """\
 [distribution]
@@ -299,6 +299,7 @@ def test_fit_exponent_noiseless_sqrt():
     rows = [(b, b**0.5) for b in (0.5, 0.25, 0.125, 0.0625, 0.03125)]
     fit = ex.fit_exponent(rows, regime="eta-gt-2")
     assert fit.exponent == pytest.approx(0.5, abs=1e-12)
+    assert fit.constant == pytest.approx(1.0, rel=1e-12)
     assert fit.half_width <= 1e-10
 
 
@@ -313,9 +314,14 @@ def test_fit_exponent_noiseless_lt2_rate():
 def test_fit_exponent_excludes_nonpositive():
     rows = [(0.5, 0.7), (0.25, 0.5), (0.125, 0.35), (0.0625, 0.25), (0.03125, -0.1)]
     fit = ex.fit_exponent(rows, regime="eta-gt-2")
-    assert fit.n_used == 4 and fit.n_excluded == 1
+    assert isinstance(fit, ex.FitResult)
+    assert (fit.n_used, fit.n_excluded, fit.regime) == (4, 1, "eta-gt-2")
     with pytest.raises(CalibrationUnavailableError):
         ex.fit_exponent(rows[:3], regime="eta-gt-2")
+    # a non-finite beta or deficit is an input error, not an excluded row
+    for bad in [(0.125, math.nan), (0.125, math.inf), (math.nan, 0.3), (-math.inf, 0.3)]:
+        with pytest.raises(InvalidInputError):
+            ex.fit_exponent(rows + [bad], regime="eta-gt-2")
 
 
 def test_parse_config_roundtrip(tmp_path):
@@ -336,6 +342,14 @@ def test_parse_config_roundtrip(tmp_path):
     assert cfg2.beta_grid == cfg.beta_grid
     assert cfg2.constants.c2 == cfg.constants.c2
 
+    # keys are case-sensitive: the tail constant L is read and written as L
+    path.write_text(CONFIG_TEXT.replace("heavy-radial", "heavy-iid").replace("eta = 5.0", "eta = 5.0\nL = 2"))
+    cfg = ex.parse_config(path)
+    assert cfg.spec.L == 2.0 and cfg.spec.tail.L == 2.0
+    ex.write_config(cfg, out)
+    assert "L = 2.0\n" in out.read_text()
+    assert ex.parse_config(out) == cfg
+
 
 def test_parse_config_rejects_unknown(tmp_path):
     bad1 = tmp_path / "bad1.ini"
@@ -350,6 +364,10 @@ def test_parse_config_rejects_unknown(tmp_path):
         ex.parse_config(tmp_path / "missing.ini")
     with pytest.raises(ConfigError):
         ex.parse_constants(tmp_path / "missing.ini")
+    kappa = tmp_path / "kappa.ini"  # the VC-bound constant is gone
+    kappa.write_text(CONFIG_TEXT.replace("c2 = 1.25", "c2 = 1.25\nkappa = 1.0"))
+    with pytest.raises(ConfigError, match="kappa"):
+        ex.parse_config(kappa)
     no_header = tmp_path / "no_header.ini"
     no_header.write_text("family = gaussian-iid\n")
     with pytest.raises(ConfigError):
@@ -424,13 +442,14 @@ def test_verify_suite_passes_and_reports():
     assert payload["ok"] is True
 
 
-def test_verify_suite_mutation_detected():
+def test_verify_suite_mutation_detected(monkeypatch):
     def corrupted_phi(u, t):
         t_arr = np.asarray(t, dtype=float)
         out = np.clip(t_arr / u - 0.5, 0.0, 1.0)  # ramp starts too early
         return float(out) if np.isscalar(t) else out
 
-    report = ex.verify_suite(budget=10, overrides={"phi": corrupted_phi})
+    monkeypatch.setattr(ex.ep, "truncation_phi", corrupted_phi)
+    report = ex.verify_suite(budget=10)
     statuses = {c.name: c.status for c in report.checks}
     assert statuses["phi-sandwich"] == "fail"
     assert not report.ok
