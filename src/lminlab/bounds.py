@@ -24,7 +24,7 @@ small-ball floor c2 tau sqrt(Q(2tau)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .distributions import CovarianceBand
 from .errors import CalibrationUnavailableError, InvalidParameterError
@@ -54,16 +54,6 @@ class ConstantSet:
         for name, value in vars(self).items():
             if not (math.isfinite(value) and value > 0):
                 raise InvalidParameterError(f"constant {name} must be finite and > 0, got {value}")
-
-    def to_config(self) -> dict[str, str]:
-        return {name: repr(value) for name, value in vars(self).items()}
-
-    @classmethod
-    def from_config(cls, section: dict[str, str]) -> "ConstantSet":
-        unknown = set(section) - {f.name for f in fields(cls)}
-        if unknown:
-            raise InvalidParameterError(f"unknown constant keys: {sorted(unknown)}")
-        return cls(**{k: float(v) for k, v in section.items()})
 
 
 @dataclass(frozen=True)
@@ -123,19 +113,18 @@ def regime_rate(regime: str, beta: float, eta: float | None = None) -> float:
     raise InvalidParameterError(f"unknown rate regime {regime!r}")
 
 
-def floor_regime(eta: float, L: float, beta: float, k: ConstantSet, N: int) -> BoundPrediction:
-    """Tail-regime floor for the declared (eta, L) profile at aspect ratio beta.
+def floor_regime(eta: float, beta: float, k: ConstantSet, N: int) -> BoundPrediction:
+    """Tail-regime floor for tail surplus eta at aspect ratio beta.
 
-    The regime is selected by eta (above/at/below 2, tolerance 1e-9).  N enters
-    the failure probability only.  Vacuous floors (<= 0) are reported as-is
-    with a flag; the boundary beta = 1 makes the log-rate regimes degenerate
-    and is flagged too.
+    The theorems' constants depend on eta and on the tail constant L of
+    sup_t E|<t,X>|^(2+eta) <= L; here they are the ``k`` values, so L is no
+    argument.  The regime is selected by eta (above/at/below 2, tolerance
+    1e-9).  N enters the failure probability only.  Vacuous floors (<= 0)
+    are reported as-is with a flag; the boundary beta = 1 makes the log-rate
+    regimes degenerate and is flagged too.
     """
     if not (0 < beta <= 1):
         raise InvalidParameterError(f"beta must be in (0, 1], got {beta}")
-    _require_finite(L=L)
-    if L < 1:
-        raise InvalidParameterError(f"L must be >= 1, got {L}")
     if N < 1:
         raise InvalidParameterError(f"N must be >= 1, got {N}")
     regime = regime_for_eta(eta)
@@ -164,7 +153,7 @@ def floor_regime(eta: float, L: float, beta: float, k: ConstantSet, N: int) -> B
         prob_failure=pfail,
         constants=constants,
         precondition_ok=True,
-        precondition_detail=f"eta={eta}, L={L}, beta={beta}, N={N}",
+        precondition_detail=f"eta={eta}, beta={beta}, N={N}",
         flags=tuple(flags),
     )
 

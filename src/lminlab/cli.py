@@ -60,30 +60,35 @@ def _emit(pairs: dict, args) -> None:
 
 def _spec_from_args(args) -> dist.DistributionSpec:
     if args.config:
-        return ex.parse_spec(args.config)
+        sections = ex.read_config(args.config)
+        if "distribution" not in sections:
+            raise ConfigError("config lacks a [distribution] section")
+        return sections["distribution"]
     if args.family is None or args.n is None:
         raise ConfigError("need --family and --n (or --config)")
     return dist.DistributionSpec(
         family=args.family,
         n=args.n,
         eta=args.eta,
-        L=args.L,
         mixture_p=args.mixture_p,
     )
 
 
 def _seed(args, spec: dist.DistributionSpec) -> int:
-    """--seed, else the config's [distribution] seed, else 0."""
-    if args.seed is not None:
-        return args.seed
-    return spec.seed if spec.seed is not None else 0
+    """--seed, else the config's [distribution] seed, else 0; a seed outside
+    [0, 2^64) is an error."""
+    seed = args.seed
+    if seed is None:
+        seed = spec.seed if spec.seed is not None else 0
+    if not 0 <= seed < 2**64:
+        raise InvalidParameterError(f"seed must be in [0, 2^64), got {seed}")
+    return seed
 
 
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=dist.FAMILIES, default=None)
     p.add_argument("--n", type=int, default=None, help="ambient dimension")
     p.add_argument("--eta", type=float, default=None, help="tail exponent surplus")
-    p.add_argument("--L", type=float, default=None, help="declared tail constant")
     p.add_argument("--mixture-p", type=float, default=0.0, dest="mixture_p")
 
 
@@ -151,7 +156,9 @@ def cmd_rademacher(args) -> int:
 
 
 def _constants_from_args(args) -> bd.ConstantSet:
-    return ex.parse_constants(args.config) if args.config else bd.ConstantSet()
+    if not args.config:
+        return bd.ConstantSet()
+    return ex.read_config(args.config).get("constants", bd.ConstantSet())
 
 
 def _require(args, names: tuple) -> None:
@@ -164,7 +171,7 @@ def cmd_bounds(args) -> int:
     k = _constants_from_args(args)
     if args.regime == "tail":
         _require(args, ("eta", "beta"))
-        pred = bd.floor_regime(args.eta, args.L, args.beta, k, args.N)
+        pred = bd.floor_regime(args.eta, args.beta, k, args.N)
     elif args.regime == "basic":
         _require(args, ("tau", "q2tau", "rn"))
         pred = bd.basic_floor(args.tau, args.q2tau, args.rn, args.N)
@@ -275,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="evaluate a floor prediction from flags")
     p.add_argument("--regime", choices=("tail", "basic", "isomorphic", "general"), required=True)
     p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--L", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--q2tau", type=float, default=None)
@@ -311,7 +317,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LminlabError as exc:
+    except (LminlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

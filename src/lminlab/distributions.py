@@ -45,25 +45,6 @@ _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-11, limit=200)
 
 
 @dataclass(frozen=True)
-class TailProfile:
-    """Declared marginal tail bound P{|<X,t>| > u} <= L / u^(2+eta)."""
-
-    eta: float
-    L: float = 1.0
-
-    def __post_init__(self):
-        if not (self.eta >= 0):
-            raise InvalidParameterError(f"eta must be >= 0, got {self.eta}")
-        if not (math.isfinite(self.L) and self.L >= 1):
-            raise InvalidParameterError(f"L must be finite and >= 1, got {self.L}")
-
-    def bound(self, u: float) -> float:
-        if u <= 0:
-            return 1.0
-        return min(1.0, self.L / u ** (2.0 + self.eta))
-
-
-@dataclass(frozen=True)
 class CovarianceBand:
     """Marginal norm bounds: a <= ||<X,t>||_L2 <= A and ||.||_L2 <= B ||.||_L1."""
 
@@ -86,16 +67,13 @@ class DistributionSpec:
     """Recipe for one isotropic family in dimension ``n``.
 
     A finite ``eta`` > 0 is required for the heavy families and rejected
-    elsewhere; ``mixture_p`` only applies to atomic-mixture.  ``L``, finite
-    and heavy families only, overrides the declared tail constant (see
-    ``tail``).  ``seed`` is an optional default seed carried through config
-    round-trips.
+    elsewhere; ``mixture_p`` only applies to atomic-mixture.  ``seed`` is an
+    optional default seed carried through config round-trips.
     """
 
     family: str
     n: int
     eta: float | None = None
-    L: float | None = None
     mixture_p: float = 0.0
     seed: int | None = None
 
@@ -109,33 +87,11 @@ class DistributionSpec:
                 raise InvalidParameterError(f"{self.family} requires a finite eta > 0, got {self.eta}")
         elif self.eta is not None:
             raise InvalidParameterError(f"eta only applies to heavy families, not {self.family}")
-        if self.L is not None:
-            if self.family not in _HEAVY:
-                raise InvalidParameterError("L only applies to heavy families")
-            if not math.isfinite(self.L):
-                raise InvalidParameterError(f"L must be finite, got {self.L}")
         if self.family == "atomic-mixture":
             if not (0 <= self.mixture_p < 1):
                 raise InvalidParameterError(f"mixture_p must be in [0,1), got {self.mixture_p}")
         elif self.mixture_p != 0.0:
             raise InvalidParameterError("mixture_p only applies to atomic-mixture")
-
-    @property
-    def tail(self) -> TailProfile | None:
-        """Declared tail profile (heavy families only).
-
-        The default constant is the family's computed one (clamped to >= 1):
-        exact and sphere-uniform for heavy-radial; for heavy-iid it is
-        certified for coordinate directions only and checked empirically
-        elsewhere ("empirical-L").
-        """
-        if self.family not in _HEAVY:
-            return None
-        if self.L is not None:
-            L = float(self.L)
-        else:
-            L = max(1.0, radial_tail_constant(self))
-        return TailProfile(eta=float(self.eta), L=L)
 
     @property
     def rotation_invariant(self) -> bool:
@@ -352,40 +308,3 @@ def radial_tail_constant(spec: DistributionSpec) -> float:
         return pareto_threshold(spec.eta) ** (2.0 + spec.eta)
     raise UnsupportedQueryError(f"tail constant only defined for heavy families, not {spec.family}")
 
-
-# ---------------------------------------------------------------------------
-# config round-trip
-# ---------------------------------------------------------------------------
-
-_CONFIG_KEYS = ("family", "n", "eta", "L", "mixture_p", "seed")
-
-
-def spec_to_config(spec: DistributionSpec) -> dict[str, str]:
-    """Plain-text key-value section for a spec (omits unset optionals)."""
-    out = {"family": spec.family, "n": str(spec.n)}
-    if spec.eta is not None:
-        out["eta"] = repr(float(spec.eta))
-    if spec.L is not None:
-        out["L"] = repr(float(spec.L))
-    if spec.family == "atomic-mixture":
-        out["mixture_p"] = repr(float(spec.mixture_p))
-    if spec.seed is not None:
-        out["seed"] = str(spec.seed)
-    return out
-
-
-def spec_from_config(section: dict[str, str]) -> DistributionSpec:
-    """Parse a key-value section; unknown keys are rejected."""
-    unknown = set(section) - set(_CONFIG_KEYS)
-    if unknown:
-        raise InvalidParameterError(f"unknown distribution keys: {sorted(unknown)}")
-    if "family" not in section or "n" not in section:
-        raise InvalidParameterError("distribution section requires 'family' and 'n'")
-    return DistributionSpec(
-        family=section["family"].strip(),
-        n=int(section["n"]),
-        eta=float(section["eta"]) if "eta" in section else None,
-        L=float(section["L"]) if "L" in section else None,
-        mixture_p=float(section.get("mixture_p", 0.0)),
-        seed=int(section["seed"]) if "seed" in section else None,
-    )

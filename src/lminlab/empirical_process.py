@@ -16,7 +16,6 @@ Contents:
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -230,19 +229,11 @@ class FiniteInstance:
         if not (1 <= self.N <= _ORACLE_MAX_N):
             raise InvalidParameterError(f"need 1 <= N <= {_ORACLE_MAX_N}, got {self.N}")
 
-    def describe(self) -> dict:
-        return {
-            "probs": [str(p) for p in self.probs],
-            "functions": [list(map(float, f)) for f in self.functions],
-            "N": self.N,
-        }
-
 
 @dataclass(frozen=True)
 class OracleReport:
     """Exact enumeration results for one instance at one tau."""
 
-    instance: dict
     tau: float
     q2tau: Fraction
     r_n: float
@@ -251,24 +242,6 @@ class OracleReport:
     bound: float
     hypothesis_ok: bool
     verdict: str  # "holds" | "violated" | "not-applicable"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "tau": self.tau,
-            "q2tau": str(self.q2tau),
-            "q2tau_float": float(self.q2tau),
-            "r_n": self.r_n,
-            "floor": self.floor,
-            "exact_prob": str(self.exact_prob),
-            "exact_prob_float": float(self.exact_prob),
-            "bound": self.bound,
-            "hypothesis_ok": self.hypothesis_ok,
-            "verdict": self.verdict,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def tiny_smallball_oracle(inst: FiniteInstance, tau: float) -> OracleReport:
@@ -350,7 +323,6 @@ def tiny_smallball_oracle(inst: FiniteInstance, tau: float) -> OracleReport:
     else:
         verdict = "holds" if float(exact_prob) >= bound else "violated"
     return OracleReport(
-        instance=inst.describe(),
         tau=tau,
         q2tau=q2tau,
         r_n=r_n,

@@ -14,12 +14,13 @@ from __future__ import annotations
 import configparser
 import csv
 import ctypes
+import inspect
 import json
 import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -54,6 +55,21 @@ class OutputPaths:
     result: str | None = None
 
 
+def _sweep_values(beta_grid: tuple, trials: int, seed: int) -> dict:
+    """The [sweep] values of a config, once checked: a nonempty grid of
+    distinct betas in (0, 1] and at least one trial."""
+    if len(beta_grid) == 0:
+        raise InvalidParameterError("beta_grid must be nonempty")
+    for b in beta_grid:
+        if not (0 < b <= 1):
+            raise InvalidParameterError(f"beta values must be in (0, 1], got {b}")
+    if len(set(beta_grid)) < len(beta_grid):
+        raise InvalidParameterError(f"beta values must be distinct, got {list(beta_grid)}")
+    if trials < 1:
+        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
+    return {"beta_grid": beta_grid, "trials": trials, "seed": seed}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     spec: dist.DistributionSpec
@@ -64,15 +80,7 @@ class ExperimentConfig:
     outputs: OutputPaths = field(default_factory=OutputPaths)
 
     def __post_init__(self):
-        if len(self.beta_grid) == 0:
-            raise InvalidParameterError("beta_grid must be nonempty")
-        for b in self.beta_grid:
-            if not (0 < b <= 1):
-                raise InvalidParameterError(f"beta values must be in (0, 1], got {b}")
-        if len(set(self.beta_grid)) < len(self.beta_grid):
-            raise InvalidParameterError(f"beta values must be distinct, got {list(self.beta_grid)}")
-        if self.trials < 1:
-            raise InvalidParameterError(f"trials must be >= 1, got {self.trials}")
+        _sweep_values(self.beta_grid, self.trials, self.seed)
 
     def sample_size(self, beta: float) -> int:
         return max(self.spec.n, math.ceil(self.spec.n / beta))
@@ -336,8 +344,6 @@ def _run_sweep(cfg: ExperimentConfig, threads: int) -> SweepResult:
 
     rows = tuple(results[k] for k in sorted(results))
     regime, eta_eff = _regime_for_spec(cfg.spec)
-    tail = cfg.spec.tail
-    L = tail.L if tail is not None else 1.0
 
     summaries = []
     for beta in cfg.beta_grid:
@@ -346,7 +352,7 @@ def _run_sweep(cfg: ExperimentConfig, threads: int) -> SweepResult:
             continue
         N = cfg.sample_size(beta)
         median = float(np.median(lmins))
-        pred = bd.floor_regime(eta_eff, L, beta, cfg.constants, N)
+        pred = bd.floor_regime(eta_eff, beta, cfg.constants, N)
         summaries.append(
             BetaSummary(
                 family=cfg.spec.family,
@@ -446,18 +452,40 @@ def fit_exponent(rows, regime: str = "eta-gt-2") -> FitResult:
 # config file parsing
 # ---------------------------------------------------------------------------
 
-_SWEEP_KEYS = {"beta_grid", "trials", "seed"}
-_OUTPUT_KEYS = {"rows", "summary", "result"}
+def _beta_grid(text: str) -> tuple:
+    return tuple(float(tok) for tok in text.replace(",", " ").split())
+
+
+# section -> (the object built from it, {key: parser of the key's value}).
+# A key without a default in the object's signature is required.
+_FORMAT = {
+    "distribution": (
+        dist.DistributionSpec,
+        {"family": str, "n": int, "eta": float, "mixture_p": float, "seed": int},
+    ),
+    "sweep": (_sweep_values, {"beta_grid": _beta_grid, "trials": int, "seed": int}),
+    "constants": (bd.ConstantSet, {f.name: float for f in fields(bd.ConstantSet)}),
+    "outputs": (OutputPaths, {"rows": str, "summary": str, "result": str}),
+}
 
 
 def _new_parser() -> configparser.ConfigParser:
-    """A config parser that keeps key case (``L`` is not ``l``)."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    """A config parser that reads keys and values literally: ``n`` is not
+    ``N``, and ``%`` is a plain character."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     parser.optionxform = str
     return parser
 
 
-def _read_config(path) -> configparser.ConfigParser:
+def read_config(path) -> dict:
+    """Every section of a config file, built into its object: a
+    ``DistributionSpec``, the [sweep] values, a ``ConstantSet`` and
+    ``OutputPaths``, keyed by section name.
+
+    Every command reads its config through here, so a file is valid for all
+    of them or for none: an unreadable file, an unknown section or key, a
+    missing required key or a bad value raises ``ConfigError``.
+    """
     parser = _new_parser()
     try:
         read = parser.read(path)
@@ -465,98 +493,65 @@ def _read_config(path) -> configparser.ConfigParser:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    return parser
-
-
-def _constants_section(parser: configparser.ConfigParser) -> bd.ConstantSet:
-    if "constants" not in parser:
-        return bd.ConstantSet()
-    try:
-        return bd.ConstantSet.from_config(dict(parser["constants"]))
-    except (InvalidParameterError, ValueError) as exc:
-        raise ConfigError(f"bad [constants] section: {exc}") from exc
-
-
-def _distribution_section(parser: configparser.ConfigParser) -> dist.DistributionSpec:
-    if "distribution" not in parser:
-        raise ConfigError("config lacks a [distribution] section")
-    try:
-        return dist.spec_from_config(dict(parser["distribution"]))
-    except ValueError as exc:
-        raise ConfigError(f"bad [distribution] section: {exc}") from exc
-
-
-def parse_spec(path) -> dist.DistributionSpec:
-    """The [distribution] section of a config file; an unreadable file, a
-    missing section or a bad value raises ``ConfigError``."""
-    return _distribution_section(_read_config(path))
-
-
-def parse_constants(path) -> bd.ConstantSet:
-    """The [constants] section of a config file, all defaults when the
-    section is absent; an unreadable file or a bad value raises
-    ``ConfigError``."""
-    return _constants_section(_read_config(path))
+    # configparser would copy the keys of a [DEFAULT] section into every section
+    present = set(parser.sections()) | ({parser.default_section} if parser.defaults() else set())
+    unknown = present - set(_FORMAT)
+    if unknown:
+        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    sections = {}
+    for name in parser.sections():
+        build, parsers = _FORMAT[name]
+        values = dict(parser[name])
+        unknown = set(values) - set(parsers)
+        if unknown:
+            raise ConfigError(f"unknown [{name}] keys: {sorted(unknown)}")
+        params = inspect.signature(build).parameters.values()
+        missing = [p.name for p in params if p.default is p.empty and p.name not in values]
+        if missing:
+            raise ConfigError(f"missing [{name}] keys: {missing}")
+        try:
+            sections[name] = build(**{key: parsers[key](text) for key, text in values.items()})
+        except ValueError as exc:
+            raise ConfigError(f"bad [{name}] section: {exc}") from exc
+    return sections
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Plain-text config: [distribution] and [sweep] sections required,
-    [constants] and [outputs] optional.  Unknown sections or keys are
-    rejected."""
-    parser = _read_config(path)
-    known = {"distribution", "sweep", "constants", "outputs"}
-    unknown = set(parser.sections()) - known
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    if "distribution" not in parser or "sweep" not in parser:
+    """A sweep's config: ``read_config`` with the [distribution] and [sweep]
+    sections required; [constants] and [outputs] are optional."""
+    sections = read_config(path)
+    if "distribution" not in sections or "sweep" not in sections:
         raise ConfigError("config requires [distribution] and [sweep] sections")
+    return ExperimentConfig(
+        spec=sections["distribution"],
+        constants=sections.get("constants", bd.ConstantSet()),
+        outputs=sections.get("outputs", OutputPaths()),
+        **sections["sweep"],
+    )
 
-    spec = _distribution_section(parser)
 
-    sweep = dict(parser["sweep"])
-    unknown = set(sweep) - _SWEEP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown [sweep] keys: {sorted(unknown)}")
-    missing = _SWEEP_KEYS - set(sweep)
-    if missing:
-        raise ConfigError(f"missing [sweep] keys: {sorted(missing)}")
-    try:
-        beta_grid = tuple(float(tok) for tok in sweep["beta_grid"].replace(",", " ").split())
-        trials = int(sweep["trials"])
-        seed = int(sweep["seed"])
-    except ValueError as exc:
-        raise ConfigError(f"bad [sweep] value: {exc}") from exc
-
-    constants = _constants_section(parser)
-
-    outputs = OutputPaths()
-    if "outputs" in parser:
-        out = dict(parser["outputs"])
-        unknown = set(out) - _OUTPUT_KEYS
-        if unknown:
-            raise ConfigError(f"unknown [outputs] keys: {sorted(unknown)}")
-        outputs = OutputPaths(**out)
-
-    try:
-        return ExperimentConfig(
-            spec=spec, beta_grid=beta_grid, trials=trials, seed=seed, constants=constants, outputs=outputs
-        )
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+def _format_value(value) -> str:
+    """A value as its config text; floats, numpy ones too, by ``repr`` of
+    the Python float, which reads back exactly."""
+    if isinstance(value, tuple):
+        return " ".join(repr(float(v)) for v in value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def write_config(cfg: ExperimentConfig, path) -> None:
-    parser = _new_parser()
-    parser["distribution"] = dist.spec_to_config(cfg.spec)
-    parser["sweep"] = {
-        "beta_grid": " ".join(repr(float(b)) for b in cfg.beta_grid),
-        "trials": str(cfg.trials),
-        "seed": str(cfg.seed),
+    """Write ``cfg`` in the format ``parse_config`` reads back; unset
+    values are left out."""
+    objects = {
+        "distribution": vars(cfg.spec),
+        "sweep": _sweep_values(cfg.beta_grid, cfg.trials, cfg.seed),
+        "constants": vars(cfg.constants),
+        "outputs": vars(cfg.outputs),
     }
-    parser["constants"] = cfg.constants.to_config()
-    out = {k: v for k, v in vars(cfg.outputs).items() if v is not None}
-    if out:
-        parser["outputs"] = out
+    parser = _new_parser()
+    for name, values in objects.items():
+        section = {key: _format_value(value) for key, value in values.items() if value is not None}
+        if section:
+            parser[name] = section
     with open(path, "w") as fh:
         parser.write(fh)
 

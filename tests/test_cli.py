@@ -183,13 +183,6 @@ def test_smallball_bad_u_grid_exits_2(capsys, grid):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
-@pytest.mark.parametrize("L", ["0", "0.5", "inf", "nan"])
-def test_bounds_tail_rejects_small_L(capsys, L):
-    rc = cli.main(["bounds", "--regime", "tail", "--eta", "5", "--beta", "0.25", "--N", "100", "--L", L])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error:")
-
-
 def test_bounds_tail_rejects_nan_eta(capsys):
     rc = cli.main(["bounds", "--regime", "tail", "--eta", "nan", "--beta", "0.25", "--N", "100"])
     assert rc == 2
@@ -306,26 +299,25 @@ def test_seed_rule_flag_then_config_then_zero(tmp_path, capsys, config_seed, see
     assert got == want
 
 
-@pytest.mark.parametrize("flag,value", [("--eta", "nan"), ("--eta", "inf"), ("--L", "nan"), ("--L", "inf")])
+@pytest.mark.parametrize("flag,value", [("--eta", "nan"), ("--eta", "inf")])
 def test_nonfinite_eta_or_L_rejected(tmp_path, capsys, flag, value):
-    key = flag[2:]
-    with pytest.raises(InvalidParameterError, match=f"{key}.*finite|finite {key}"):
-        dist.DistributionSpec("heavy-iid", 3, **{"eta": 2.0, key: float(value)})
+    with pytest.raises(InvalidParameterError, match="finite eta"):
+        dist.DistributionSpec("heavy-iid", 3, eta=float(value))
 
     matrix = tmp_path / "m.bin"
     rc = cli.main(["sample", "--family", "heavy-iid", "--n", "3", "--N", "4", "--eta", "2", flag, value, "--out", str(matrix)])
     err = capsys.readouterr().err
-    assert rc == 2 and err.startswith("error:") and key in err and "finite" in err
+    assert rc == 2 and err.startswith("error:") and "finite eta" in err
     assert not matrix.exists()
 
     # a sweep config fails before any trial runs
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(
-        f"[distribution]\nfamily = heavy-iid\nn = 3\neta = 2\n{key} = {value}\n\n"
+        f"[distribution]\nfamily = heavy-iid\nn = 3\neta = {value}\n\n"
         "[sweep]\nbeta_grid = 0.5 0.25\ntrials = 3\nseed = 1\n"
     )
     rc = cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")])
-    assert rc == 2 and "finite" in capsys.readouterr().err
+    assert rc == 2 and "finite eta" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini"]
 
 
@@ -350,3 +342,123 @@ def test_verify_rejects_budget_below_one(capsys, budget):
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err == f"error: budget must be >= 1, got {budget}\n" and captured.out == ""
+
+
+SPEC_ARGS = ["--family", "heavy-iid", "--n", "3", "--eta", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", *SPEC_ARGS, "--N", "4", "--out", "m.bin"],
+        ["smallball", *SPEC_ARGS],
+        ["rademacher", *SPEC_ARGS, "--N", "4"],
+        ["bounds", "--regime", "tail", "--eta", "2", "--beta", "0.25", "--N", "100"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_tail_constant_flag_is_gone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--L", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --L 2" in capsys.readouterr().err
+
+
+VALID_SECTIONS = {
+    "distribution": "family = gaussian-iid\nn = 3\n",
+    "sweep": "beta_grid = 0.5\ntrials = 2\nseed = 1\n",
+    "constants": "c2 = 0.5\n",
+}
+# one section of the valid config replaced or added, and a piece of the error
+BAD_SECTIONS = [
+    ({"bogus": "x = 1\n"}, "bogus"),
+    ({"distribution": "family = gaussian-iid\nn = abc\n"}, "bad [distribution] section"),
+    ({"distribution": "family = heavy-iid\nn = 3\neta = 2\nL = 2\n"}, "'L'"),
+    ({"sweep": "beta_grid = 0.5\ntrials = 0\nseed = 1\n"}, "trials must be >= 1"),
+    ({"constants": "c2 = -1\n"}, "constant c2"),
+]
+
+
+def _config_text(sections: dict) -> str:
+    return "".join(f"[{name}]\n{body}\n" for name, body in sections.items())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--N", "4", "--out", "OUT"],
+        ["smallball", "--samples", "100", "--budget", "8"],
+        ["rademacher", "--N", "8"],
+        ["bounds", "--regime", "tail", "--eta", "5", "--beta", "0.25", "--N", "100"],
+        ["sweep", "--out", "OUT"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_command_rejects_the_same_config_files(tmp_path, capsys, argv):
+    cfg = tmp_path / "cfg.ini"
+    out = tmp_path / "out"
+    argv = [str(out) if a == "OUT" else a for a in argv] + ["--config", str(cfg)]
+    cfg.write_text(_config_text(VALID_SECTIONS))
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    for bad, message in BAD_SECTIONS:
+        for path in tmp_path.iterdir():
+            path.unlink()
+        cfg.write_text(_config_text({**VALID_SECTIONS, **bad}))
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2, bad
+        assert captured.err.startswith("error:") and message in captured.err, bad
+        assert captured.out == "" and list(tmp_path.iterdir()) == [cfg], bad
+
+
+def test_percent_in_config_value_is_literal(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(_config_text({**VALID_SECTIONS, "outputs": "rows = run%1.csv\n"}))
+    assert cli.main(["sweep", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == "wrote 2 trial rows to run%1.csv\n"
+    assert (tmp_path / "run%1.csv").read_text().startswith("family,eta,n,N,beta,trial")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--family", "gaussian-iid", "--n", "2", "--N", "4", "--out", "MISSING"],
+        ["bounds", "--regime", "tail", "--eta", "5", "--beta", "0.25", "--N", "100", "--out", "MISSING"],
+        ["verify", "--budget", "1", "--out", "MISSING"],
+        ["sweep", "--config", "CONFIG"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
+    missing = str(tmp_path / "no-such-dir" / "out")
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(_config_text({**VALID_SECTIONS, "outputs": f"rows = {missing}\n"}))
+    argv = [{"MISSING": missing, "CONFIG": str(cfg)}.get(a, a) for a in argv]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: [Errno 2]") and missing in err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2^64"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--N", "4", "--out", "m.bin"],
+        ["smallball", "--samples", "100", "--budget", "8"],
+        ["rademacher", "--N", "8"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_seed_outside_64_bits_exits_2(tmp_path, capsys, monkeypatch, argv, seed):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[distribution]\nfamily = gaussian-iid\nn = 2\nseed = {seed}\n")
+    for extra in (["--family", "gaussian-iid", "--n", "2", "--seed", str(seed)], ["--config", str(cfg)]):
+        rc = cli.main([*argv, *extra])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: seed must be in [0, 2^64), got {seed}\n" and captured.out == ""
+        assert list(tmp_path.iterdir()) == [cfg]

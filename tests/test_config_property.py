@@ -12,8 +12,8 @@ from lminlab import distributions as dist  # noqa: E402
 from lminlab import experiments as ex  # noqa: E402
 
 FINITE_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-CONSTANT_NAMES = list(bd.ConstantSet().to_config())
-PATHS = st.text(alphabet="abcxyz0123456789._/-", min_size=1, max_size=20)
+CONSTANT_NAMES = list(vars(bd.ConstantSet()))
+PATHS = st.text(alphabet="abcxyz0123456789._/-%", min_size=1, max_size=20)
 
 
 def optional(strategy):
@@ -26,7 +26,6 @@ def specs(draw):
     kw = {"n": draw(st.integers(1, 10**6)), "seed": draw(optional(st.integers(0, 2**64 - 1)))}
     if family in ("heavy-iid", "heavy-radial"):
         kw["eta"] = draw(FINITE_POSITIVE)
-        kw["L"] = draw(optional(st.floats(min_value=1.0, allow_infinity=False)))
     if family == "atomic-mixture":
         kw["mixture_p"] = draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
     return dist.DistributionSpec(family, **kw)

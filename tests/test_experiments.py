@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -332,7 +333,7 @@ def test_parse_config_roundtrip(tmp_path):
     assert cfg.beta_grid == (0.5, 0.25)
     assert cfg.trials == 4 and cfg.seed == 11
     assert cfg.constants.c2 == 1.25
-    assert ex.parse_constants(path) == cfg.constants
+    assert ex.read_config(path)["constants"] == cfg.constants
     assert cfg.outputs.rows == "rows.csv"
 
     out = tmp_path / "copy.ini"
@@ -342,36 +343,44 @@ def test_parse_config_roundtrip(tmp_path):
     assert cfg2.beta_grid == cfg.beta_grid
     assert cfg2.constants.c2 == cfg.constants.c2
 
-    # keys are case-sensitive: the tail constant L is read and written as L
-    path.write_text(CONFIG_TEXT.replace("heavy-radial", "heavy-iid").replace("eta = 5.0", "eta = 5.0\nL = 2"))
-    cfg = ex.parse_config(path)
-    assert cfg.spec.L == 2.0 and cfg.spec.tail.L == 2.0
-    ex.write_config(cfg, out)
-    assert "L = 2.0\n" in out.read_text()
-    assert ex.parse_config(out) == cfg
-
 
 def test_parse_config_rejects_unknown(tmp_path):
-    bad1 = tmp_path / "bad1.ini"
-    bad1.write_text(CONFIG_TEXT + "\n[mystery]\nx = 1\n")
-    with pytest.raises(ConfigError):
-        ex.parse_config(bad1)
-    bad2 = tmp_path / "bad2.ini"
-    bad2.write_text(CONFIG_TEXT.replace("trials = 4", "trials = 4\nbogus_key = 2"))
-    with pytest.raises(ConfigError):
-        ex.parse_config(bad2)
-    with pytest.raises(ConfigError):
-        ex.parse_config(tmp_path / "missing.ini")
-    with pytest.raises(ConfigError):
-        ex.parse_constants(tmp_path / "missing.ini")
-    kappa = tmp_path / "kappa.ini"  # the VC-bound constant is gone
-    kappa.write_text(CONFIG_TEXT.replace("c2 = 1.25", "c2 = 1.25\nkappa = 1.0"))
-    with pytest.raises(ConfigError, match="kappa"):
-        ex.parse_config(kappa)
-    no_header = tmp_path / "no_header.ini"
-    no_header.write_text("family = gaussian-iid\n")
-    with pytest.raises(ConfigError):
-        ex.parse_config(no_header)
+    cases = [
+        (CONFIG_TEXT + "\n[mystery]\nx = 1\n", "mystery"),
+        ("[DEFAULT]\nseed = 3\n\n" + CONFIG_TEXT.replace("seed = 11\n", ""), "DEFAULT"),
+        (CONFIG_TEXT.replace("trials = 4", "trials = 4\nbogus_key = 2"), "bogus_key"),
+        (CONFIG_TEXT.replace("n = 16", "n = 16\nbogus = 1"), "bogus"),
+        (CONFIG_TEXT.replace("c2 = 1.25", "c2 = 1.25\nc99 = 1.0"), "c99"),
+        # the VC-bound constant and the tail constant L are gone
+        (CONFIG_TEXT.replace("c2 = 1.25", "c2 = 1.25\nkappa = 1.0"), "kappa"),
+        (CONFIG_TEXT.replace("eta = 5.0", "eta = 5.0\nL = 2"), "'L'"),
+        # keys are case-sensitive
+        (CONFIG_TEXT.replace("n = 16", "N = 16"), "'N'"),
+        ("family = gaussian-iid\n", "section header"),
+    ]
+    bad = tmp_path / "bad.ini"
+    for text, match in cases:
+        bad.write_text(text)
+        for read in (ex.parse_config, ex.read_config):
+            with pytest.raises(ConfigError, match=match):
+                read(bad)
+    for read in (ex.parse_config, ex.read_config):
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            read(tmp_path / "missing.ini")
+
+
+def test_readme_config_block_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "readme.ini"
+    path.write_text(blocks[0])
+    cfg = ex.parse_config(path)
+    assert cfg.spec == dist.DistributionSpec("heavy-radial", 64, eta=5.0)
+    assert cfg.beta_grid == (0.5, 0.25, 0.125, 0.0625, 0.03125)
+    assert (cfg.trials, cfg.seed) == (100, 20260809)
+    assert cfg.constants == bd.ConstantSet()
+    assert cfg.outputs == ex.OutputPaths("rows.csv", "summary.csv", "result.json")
 
 
 def test_degradation_ordering_atomic_mixture():
