@@ -22,6 +22,7 @@ from . import rademacher as rad
 from . import smallball as sb
 from . import spectrum as sp
 from .errors import ConfigError, InvalidInputError, InvalidParameterError, LminlabError
+from .streams import check_seed
 
 
 _FLAGS = {
@@ -80,9 +81,7 @@ def _seed(args, spec: dist.DistributionSpec) -> int:
     seed = args.seed
     if seed is None:
         seed = spec.seed if spec.seed is not None else 0
-    if not 0 <= seed < 2**64:
-        raise InvalidParameterError(f"seed must be in [0, 2^64), got {seed}")
-    return seed
+    return check_seed(seed)
 
 
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
@@ -193,12 +192,17 @@ def cmd_sweep(args) -> int:
     if not args.config:
         raise ConfigError("sweep requires --config")
     cfg = ex.parse_config(args.config)
-    result = ex.run_sweep(cfg, threads=args.threads)
     rows_path = cfg.outputs.rows or (args.out and args.out + ".rows.csv")
     summary_path = cfg.outputs.summary or (args.out and args.out + ".summary.csv")
     json_path = cfg.outputs.result or (args.out and args.out + ".json")
-    if not any([rows_path, summary_path, json_path]):
+    paths = [path for path in (rows_path, summary_path, json_path) if path]
+    if not paths:
         raise ConfigError("sweep needs output paths ([outputs] section or --out prefix)")
+    for path in paths:
+        # an unwritable output fails here, before any trial runs; appending
+        # leaves an earlier run's file as it was until the sweep succeeds
+        open(path, "a").close()
+    result = ex.run_sweep(cfg, threads=args.threads)
     if rows_path:
         result.rows_csv(rows_path)
         print(f"wrote {len(result.rows)} trial rows to {rows_path}")

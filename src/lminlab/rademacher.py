@@ -8,6 +8,14 @@ Euclidean norm:
 so no direction search is needed.  For N <= 14 the expectation over sign
 vectors is enumerated exactly (2^N terms); otherwise it is a Monte Carlo
 average.  Generic-class Rademacher estimation is out of scope.
+
+The Monte Carlo path draws its sign vectors in blocks of at most
+``_BLOCK_ELEMENTS`` signs, with BLAS pinned to one thread, so its memory does
+not grow with draws x N and its output does not depend on the BLAS thread
+count.  Each block has an even number of rows: the generator makes integers
+in [0, 2) from 32-bit halves of its 64-bit outputs and drops an unused half
+at the end of a call, so even blocks leave it in the state one call for all
+draws would.
 """
 
 from __future__ import annotations
@@ -16,11 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .errors import InvalidInputError, InvalidParameterError
 from .streams import as_generator
 
 EXACT_MAX_N = 14
 DEFAULT_DRAWS = 2000
+# signs held at once by the Monte Carlo path: a block of draws times N
+_BLOCK_ELEMENTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -69,8 +80,11 @@ def rademacher_linear(
     if draws < 2:
         raise InvalidParameterError(f"draws must be >= 2 for a standard error, got {draws}")
     rng = as_generator(rng)
-    signs = rng.integers(0, 2, size=(draws, N)) * 2.0 - 1.0
-    norms = np.linalg.norm(signs @ rows, axis=1) / N
+    norms = np.empty(draws)
+    with blas._single_threaded_blas:
+        for block in blas.row_blocks(draws, N, _BLOCK_ELEMENTS, multiple=2):
+            signs = rng.integers(0, 2, size=(block.stop - block.start, N)) * 2.0 - 1.0
+            norms[block] = np.linalg.norm(signs @ rows, axis=1) / N
     stderr = float(norms.std(ddof=1) / np.sqrt(draws))
     return RademacherEstimate(value=float(norms.mean()), stderr=stderr, draws=draws, exact=False)
 

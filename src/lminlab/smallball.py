@@ -12,6 +12,12 @@ Search strategy (deterministic under a fixed seed): 80% of the direction
 budget goes to uniform random directions, then the 2n signed coordinate
 directions, then greedy local refinement of the best candidate by Gaussian
 perturbations of decaying scale.  Ties break to the lowest pool index.
+
+Memory: every statistic over a direction set (tail fractions, means of
+|<X,t>| and |<X,t>|^p) is accumulated by walking the samples in row blocks
+of at most ``_BLOCK_ELEMENTS`` projections, so no samples x directions
+matrix is built.  The blocks and the refinement steps run with BLAS pinned
+to one thread, so seeded output does not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -23,12 +29,16 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import blas
 from .distributions import DistributionSpec, marginal_abs_moment
 from .errors import InvalidInputError, InvalidParameterError, UnsupportedQueryError
 from .streams import as_generator
 
 _REFINE_SCALE0 = 0.5
 _REFINE_DECAY = 0.9
+# projections |<X_i, t>| held at once by _marginals: a block of rows of the
+# samples times every direction of the set
+_BLOCK_ELEMENTS = 2**16
 
 
 def _as_samples(samples) -> np.ndarray:
@@ -87,24 +97,62 @@ def _refine(chains: list, steps: int, rng: np.random.Generator) -> list:
     Step k perturbs the direction of chain k mod len(chains) at a scale that
     decays every step, and keeps the candidate when its objective is strictly
     lower.  The chains are updated in place; the candidates are returned in
-    draw order.
+    draw order.  The objectives run under the single-thread BLAS pin: a
+    threaded product of the samples with one direction spends a second core
+    without saving wall time.
     """
     scale = _REFINE_SCALE0
     cands = []
-    for k in range(steps):
-        chain = chains[k % len(chains)]
-        cand = _perturb(chain[2], scale, rng)
-        val = chain[0](cand)
-        if val < chain[1]:
-            chain[1], chain[2] = val, cand
-        cands.append(cand)
-        scale *= _REFINE_DECAY
+    with blas._single_threaded_blas:
+        for k in range(steps):
+            chain = chains[k % len(chains)]
+            cand = _perturb(chain[2], scale, rng)
+            val = chain[0](cand)
+            if val < chain[1]:
+                chain[1], chain[2] = val, cand
+            cands.append(cand)
+            scale *= _REFINE_DECAY
     return cands
 
 
-def _tail_chain(samples: np.ndarray, proj: np.ndarray, pool: np.ndarray, u: float) -> list:
-    """Chain minimizing the empirical tail at u, started at the pool's best direction."""
-    fracs = (proj >= u).mean(axis=0)
+class _Marginals(NamedTuple):
+    """Statistics of the marginals |<X_i, d>| over the rows X_i, per direction d."""
+
+    tail: np.ndarray  # (len(us), D): fraction of rows with |<X_i, d>| >= u
+    l1: np.ndarray | None  # (D,): mean of |<X_i, d>|, when p was given
+    lp: np.ndarray | None  # (D,): mean of |<X_i, d>|^p, when p was given
+
+
+def _marginals(samples: np.ndarray, dirs: np.ndarray, us=(), p: float | None = None) -> _Marginals:
+    """Tail fractions at each u and, when ``p`` is given, the means of
+    |<X_i, d>| and |<X_i, d>|^p, for every direction d (a row of ``dirs``).
+
+    The samples are walked in row blocks under the single-thread BLAS pin.
+    The tails are counted in integers.  The sums add the rows one at a time
+    in sample order, as a mean over axis 0 of the whole projection matrix
+    does, so the means equal that one bit for bit.
+    """
+    N, D = samples.shape[0], dirs.shape[0]
+    counts = np.zeros((len(us), D), dtype=np.int64)
+    l1 = lp = np.zeros(D)
+    with blas._single_threaded_blas:
+        for rows in blas.row_blocks(N, D, _BLOCK_ELEMENTS):
+            proj = np.abs(samples[rows] @ dirs.T)
+            for i, u in enumerate(us):
+                # int32 sums of booleans run about twice as fast as int64
+                # ones, and a block has far fewer than 2^31 rows
+                counts[i] += (proj >= u).sum(axis=0, dtype=np.int32)
+            if p is not None:
+                l1 = np.concatenate([l1[None], proj]).sum(axis=0)
+                lp = np.concatenate([lp[None], proj**p]).sum(axis=0)
+    if p is None:
+        return _Marginals(counts / N, None, None)
+    return _Marginals(counts / N, l1 / N, lp / N)
+
+
+def _tail_chain(samples: np.ndarray, fracs: np.ndarray, pool: np.ndarray, u: float) -> list:
+    """Chain minimizing the empirical tail at u, started at the pool direction
+    with the least tail fraction ``fracs``."""
     i = int(np.argmin(fracs))
     return [lambda d: float((np.abs(samples @ d) >= u).mean()), float(fracs[i]), pool[i]]
 
@@ -119,7 +167,7 @@ def q_inf_search(
     samples = _as_samples(samples)
     rng = as_generator(rng)
     pool, n_refine = _base_pool(samples.shape[1], budget, rng)
-    chain = _tail_chain(samples, np.abs(samples @ pool.T), pool, u)
+    chain = _tail_chain(samples, _marginals(samples, pool, [u]).tail[0], pool, u)
     _refine([chain], n_refine, rng)
     return chain[1], chain[2]
 
@@ -176,9 +224,9 @@ def moment_ratios(
         ratio = float((proj**p).mean() ** (1.0 / p) / l1)
         return -ratio if math.isfinite(ratio) else math.inf
 
-    proj = np.abs(samples @ pool.T)
-    l1s = proj.mean(axis=0)
-    lps = (proj**p).mean(axis=0) ** (1.0 / p)
+    marginals = _marginals(samples, pool, p=p)
+    l1s = marginals.l1
+    lps = marginals.lp ** (1.0 / p)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(l1s > 0, lps / l1s, math.inf)
 
@@ -275,18 +323,13 @@ def small_ball_curve(
     dirs = [pool]
     per_u = n_refine // len(u_grid)
     if per_u > 0:
-        proj = np.abs(samples @ pool.T)
-        for u in u_grid:
-            dirs.append(np.array(_refine([_tail_chain(samples, proj, pool, u)], per_u, rng)))
+        for u, fracs in zip(u_grid, _marginals(samples, pool, u_grid).tail):
+            dirs.append(np.array(_refine([_tail_chain(samples, fracs, pool, u)], per_u, rng)))
     all_dirs = np.vstack(dirs)
 
-    proj = np.abs(samples @ all_dirs.T)
-    upper = np.empty(len(u_grid))
-    indices = np.empty(len(u_grid), dtype=int)
-    for i, u in enumerate(u_grid):
-        fracs = (proj >= u).mean(axis=0)
-        indices[i] = int(np.argmin(fracs))
-        upper[i] = float(fracs[indices[i]])
+    tails = _marginals(samples, all_dirs, u_grid).tail
+    indices = np.argmin(tails, axis=1)
+    upper = tails[np.arange(len(u_grid)), indices]
 
     ratios = moment_ratios(samples, p=p, budget=budget, rng=rng)
     lower = np.array([paley_zygmund_lower(ratios, u).value for u in u_grid])

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidParameterError
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -31,6 +33,14 @@ def splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+def check_seed(seed: int) -> int:
+    """``seed`` when it is a master seed, in [0, 2^64); anything else would
+    be reduced mod 2^64 and then recorded under another value."""
+    if not 0 <= seed <= _MASK64:
+        raise InvalidParameterError(f"seed must be in [0, 2^64), got {seed}")
+    return seed
 
 
 def substream_seed(master: int, beta_index: int = 0, trial_index: int = 0) -> int:

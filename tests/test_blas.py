@@ -1,0 +1,175 @@
+"""Tests for the OpenBLAS thread pin and the row blocks walked under it."""
+
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import lminlab
+from lminlab import blas
+from lminlab import bounds as bd
+from lminlab import distributions as dist
+from lminlab import experiments as ex
+from lminlab import rademacher as rad
+from lminlab import smallball as sb
+
+
+def small_config():
+    spec = dist.DistributionSpec("gaussian-iid", 12)
+    return ex.ExperimentConfig(spec=spec, beta_grid=(0.5, 0.25), trials=6, seed=5)
+
+
+@pytest.fixture
+def blas_two_threads():
+    """Every loaded OpenBLAS at two threads for the test, restored after."""
+    controls = blas._openblas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control in this numpy/scipy build")
+    saved = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(2)
+    yield [get for get, _ in controls]
+    for (_, set_), count in zip(controls, saved):
+        set_(count)
+
+
+def test_run_sweep_pins_blas_and_restores(monkeypatch, blas_two_threads):
+    getters = blas_two_threads
+    seen = []
+    real_trial = ex._trial
+
+    def observed(cfg, beta_index, trial_index):
+        seen.extend(get() for get in getters)
+        if trial_index == 1:
+            raise RuntimeError("synthetic numerical failure")
+        return real_trial(cfg, beta_index, trial_index)
+
+    monkeypatch.setattr(ex, "_trial", observed)
+    r = ex.run_sweep(small_config(), threads=2)
+    assert len(r.failures) == 2
+    assert seen and set(seen) == {1}
+    assert [get() for get in getters] == [2] * len(getters)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("synthetic aggregation failure")
+
+    monkeypatch.setattr(bd, "floor_regime", broken)
+    with pytest.raises(RuntimeError, match="aggregation"):
+        ex.run_sweep(small_config(), threads=1)
+    assert [get() for get in getters] == [2] * len(getters)
+
+
+def test_overlapping_sweeps_share_one_pin(blas_two_threads):
+    """A sweep that ends while another is running leaves BLAS pinned; the
+    last one to end restores the counts."""
+    getters = blas_two_threads
+    pin = blas._single_threaded_blas
+    b_inside, a_left = threading.Event(), threading.Event()
+    seen = []
+
+    def sweep_b():
+        with pin:
+            b_inside.set()
+            a_left.wait(30)
+            seen.append([get() for get in getters])
+
+    worker = threading.Thread(target=sweep_b)
+    with pin:
+        worker.start()
+        assert b_inside.wait(30)
+    a_left.set()
+    worker.join(30)
+    assert not worker.is_alive()
+    assert seen == [[1] * len(getters)]
+    assert [get() for get in getters] == [2] * len(getters)
+
+
+@pytest.mark.parametrize(
+    "rows,row_elements,block_elements,multiple,lengths",
+    [
+        (10, 3, 2**20, 2, [10]),  # verify's Rademacher calls: one block
+        (7, 4, 8, 1, [2, 2, 2, 1]),
+        (7, 3, 8, 2, [2, 2, 2, 1]),
+        (9, 1, 7, 2, [6, 3]),
+        (5, 100, 8, 2, [2, 2, 1]),  # a row longer than the budget
+        (5, 100, 8, 1, [1, 1, 1, 1, 1]),
+        (0, 3, 8, 1, []),
+    ],
+)
+def test_row_blocks_cover_rows_in_order(rows, row_elements, block_elements, multiple, lengths):
+    blocks = blas.row_blocks(rows, row_elements, block_elements, multiple)
+    assert [b.stop - b.start for b in blocks] == lengths
+    assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(rows))
+
+
+def _estimators():
+    x = np.random.default_rng(3).standard_normal((3000, 3))
+    return {
+        "smallball": lambda: sb.small_ball_curve(x, (0.1, 0.4), budget=64, rng=1),
+        "rademacher": lambda: rad.rademacher_linear(x, draws=700, rng=1, method="mc"),
+    }
+
+
+@pytest.mark.parametrize("estimator", ["smallball", "rademacher"])
+def test_estimators_pin_blas_and_restore(monkeypatch, blas_two_threads, estimator):
+    """Every block runs with BLAS at one thread, and the counts come back
+    after the call, also when a block raises."""
+    getters = blas_two_threads
+    run = _estimators()[estimator]
+    real_blocks = blas.row_blocks
+    seen = []
+
+    def observed(*args, **kwargs):
+        blocks = real_blocks(*args, **kwargs)
+        assert len(blocks) > 1
+        for block in blocks:
+            seen.extend(get() for get in getters)
+            yield block
+
+    monkeypatch.setattr(blas, "row_blocks", observed)
+    run()
+    assert seen and set(seen) == {1}
+    assert [get() for get in getters] == [2] * len(getters)
+
+    def broken(*args, **kwargs):
+        yield real_blocks(*args, **kwargs)[0]
+        raise RuntimeError("synthetic block failure")
+
+    monkeypatch.setattr(blas, "row_blocks", broken)
+    with pytest.raises(RuntimeError, match="block failure"):
+        run()
+    assert [get() for get in getters] == [2] * len(getters)
+
+
+def test_estimator_output_independent_of_blas_threads(tmp_path):
+    """``lminlab smallball`` and ``lminlab rademacher --method mc`` write the
+    same bytes for every OPENBLAS_NUM_THREADS; each run is a fresh process
+    because OpenBLAS reads the variable when it loads.  The Rademacher case
+    differed by 2 ulp of ``value`` between one and two threads while its
+    product ran threaded."""
+    commands = {
+        "smallball": ["smallball", "--family", "heavy-radial", "--n", "8", "--eta", "3", "--samples", "30000"],
+        "rademacher": ["rademacher", "--family", "gaussian-iid", "--n", "5", "--N", "2049", "--draws", "1537"]
+        + ["--method", "mc", "--format", "json"],
+    }
+    src = str(Path(lminlab.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for name, argv in commands.items():
+            out = tmp_path / f"{name}-{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "lminlab.cli", *argv, "--seed", "2", "--out", str(out)],
+                env=env,
+                check=True,
+                capture_output=True,
+                timeout=300,
+            )
+            outputs[name, threads] = out.read_bytes()
+    for name in commands:
+        assert outputs[name, "1"] == outputs[name, "2"], name

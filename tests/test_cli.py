@@ -431,7 +431,13 @@ def test_percent_in_config_value_is_literal(tmp_path, capsys, monkeypatch):
     ],
     ids=lambda argv: argv[0],
 )
-def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
+def test_unwritable_output_path_exits_2(tmp_path, capsys, monkeypatch, argv):
+    """Also a sweep fails before it runs a trial."""
+
+    def run_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before its output paths were checked")
+
+    monkeypatch.setattr(ex, "run_sweep", run_sweep)
     missing = str(tmp_path / "no-such-dir" / "out")
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(_config_text({**VALID_SECTIONS, "outputs": f"rows = {missing}\n"}))

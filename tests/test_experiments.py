@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +61,21 @@ def test_config_validation():
         small_config(beta_grid=())
     with pytest.raises(InvalidParameterError):
         small_config(trials=0)
+
+
+@pytest.mark.parametrize("seed,ok", [(-1, False), (2**64, False), (2**64 - 1, True), (0, True)])
+def test_sweep_seed_must_fit_64_bits(tmp_path, seed, ok):
+    """A [sweep] seed is reduced mod 2^64 when trials derive their streams,
+    so -1 would run the trials of 2^64 - 1 while recording -1."""
+    path = tmp_path / "cfg.ini"
+    path.write_text(CONFIG_TEXT.replace("seed = 11", f"seed = {seed}"))
+    if ok:
+        assert small_config(seed=seed).seed == ex.parse_config(path).seed == seed
+        return
+    with pytest.raises(InvalidParameterError, match=r"seed must be in \[0, 2\^64\)"):
+        small_config(seed=seed)
+    with pytest.raises(ConfigError, match=r"bad \[sweep\] section: seed must be in \[0, 2\^64\)"):
+        ex.parse_config(path)
 
 
 def test_run_sweep_deterministic_across_threads(tmp_path):
@@ -177,71 +191,6 @@ def test_verify_loads_scipy_on_first_use(tmp_path):
     proc = _run_fresh_python(code, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "overall: PASS (budget 10)"
-
-
-@pytest.fixture
-def blas_two_threads():
-    """Every loaded OpenBLAS at two threads for the test, restored after."""
-    controls = ex._openblas_controls()
-    if not controls:
-        pytest.skip("no OpenBLAS thread control in this numpy/scipy build")
-    saved = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(2)
-    yield [get for get, _ in controls]
-    for (_, set_), count in zip(controls, saved):
-        set_(count)
-
-
-def test_run_sweep_pins_blas_and_restores(monkeypatch, blas_two_threads):
-    getters = blas_two_threads
-    seen = []
-    real_trial = ex._trial
-
-    def observed(cfg, beta_index, trial_index):
-        seen.extend(get() for get in getters)
-        if trial_index == 1:
-            raise RuntimeError("synthetic numerical failure")
-        return real_trial(cfg, beta_index, trial_index)
-
-    monkeypatch.setattr(ex, "_trial", observed)
-    r = ex.run_sweep(small_config(), threads=2)
-    assert len(r.failures) == 2
-    assert seen and set(seen) == {1}
-    assert [get() for get in getters] == [2] * len(getters)
-
-    def broken(*args, **kwargs):
-        raise RuntimeError("synthetic aggregation failure")
-
-    monkeypatch.setattr(bd, "floor_regime", broken)
-    with pytest.raises(RuntimeError, match="aggregation"):
-        ex.run_sweep(small_config(), threads=1)
-    assert [get() for get in getters] == [2] * len(getters)
-
-
-def test_overlapping_sweeps_share_one_pin(blas_two_threads):
-    """A sweep that ends while another is running leaves BLAS pinned; the
-    last one to end restores the counts."""
-    getters = blas_two_threads
-    pin = ex._single_threaded_blas
-    b_inside, a_left = threading.Event(), threading.Event()
-    seen = []
-
-    def sweep_b():
-        with pin:
-            b_inside.set()
-            a_left.wait(30)
-            seen.append([get() for get in getters])
-
-    worker = threading.Thread(target=sweep_b)
-    with pin:
-        worker.start()
-        assert b_inside.wait(30)
-    a_left.set()
-    worker.join(30)
-    assert not worker.is_alive()
-    assert seen == [[1] * len(getters)]
-    assert [get() for get in getters] == [2] * len(getters)
 
 
 def test_run_sweep_repeat_bit_identical():

@@ -1,5 +1,7 @@
 """Tests for the linear-class Rademacher complexity estimator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,3 +79,49 @@ def test_upper_bound_values():
 def test_exact_cap_enforced():
     with pytest.raises(InvalidParameterError):
         rad.rademacher_linear(np.ones((15, 2)), method="exact")
+
+
+# Monte Carlo estimates as they were before the signs were drawn in blocks,
+# when one (draws, N) sign matrix was drawn at once (recorded on numpy 2.4.6,
+# OpenBLAS 0.3.31, one BLAS thread): (N, draws, value, stderr, the
+# generator's next random()), floats in hex.  Heavy-radial rows, n = 8, drawn
+# with seed N; signs drawn with seed draws.  At N = 2049 a block holds 510
+# rows, so 1537 odd draws are three blocks and a ragged one of 7 rows, with
+# draws x N odd; N = 4095 takes 2000 draws in 7 blocks of 256 rows and one
+# of 208; N = 15 fits in one block.  With BLAS at two threads the dense
+# product gave value 0x1.f28aec8a575c2p-5 at N = 2049.
+MC_PINS = [
+    (2049, 1537, "0x1.f28aec8a575c0p-5", "0x1.a241e0c46e133p-12", "0x1.ca8f47f64d19cp-2"),
+    (4095, 2000, "0x1.5c928722b8b04p-5", "0x1.fad352d06da04p-13", "0x1.7a7e9b61b428cp-3"),
+    (15, 3, "0x1.f57421381ab45p-1", "0x1.7b77fb1d1b8a4p-3", "0x1.41858be88e9bcp-2"),
+]
+
+
+@pytest.mark.parametrize("N,draws,value,stderr,following", MC_PINS)
+def test_blocked_mc_reproduces_dense_output(N, draws, value, stderr, following):
+    rows = dist.sample_matrix(dist.DistributionSpec("heavy-radial", 8, eta=3.0), N, np.random.default_rng(N))
+    rng = np.random.default_rng(draws)
+    est = rad.rademacher_linear(rows, draws=draws, rng=rng, method="mc")
+    assert (est.value.hex(), est.stderr.hex(), rng.random().hex()) == (value, stderr, following)
+
+
+@pytest.mark.parametrize("N,draws", [(2049, 1537), (2049, 1020), (2048, 1537), (513, 2045), (15, 3)])
+def test_blocked_mc_leaves_generator_as_one_dense_draw(N, draws):
+    rows = np.ones((N, 2))
+    blocked, dense = np.random.default_rng(4), np.random.default_rng(4)
+    rad.rademacher_linear(rows, draws=draws, rng=blocked, method="mc")
+    dense.integers(0, 2, (draws, N))
+    assert blocked.integers(0, 2**63) == dense.integers(0, 2**63)
+
+
+def test_mc_memory_bounded_by_block():
+    """The dense path held 2000 x 4096 signs as int64 and as float (about
+    131 MB at its peak); the blocked one holds a block of 256 rows."""
+    rows = dist.sample_matrix(dist.DistributionSpec("heavy-radial", 8, eta=3.0), 4096, np.random.default_rng(5))
+    tracemalloc.start()
+    try:
+        rad.rademacher_linear(rows, draws=2000, rng=1, method="mc")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, peak

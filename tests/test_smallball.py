@@ -2,6 +2,7 @@
 Paley-Zygmund bounds, and the curve report."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,3 +251,77 @@ def test_seeded_searches_pinned(family, kw, seed, upper, indices, q, alpha, beta
     assert sb.q_inf_search(x, 0.5, budget=64, rng=seed)[0].hex() == q
     r = sb.moment_ratios(x, p=2.0, budget=64, rng=seed)
     assert (r.alpha.hex(), r.beta_p.hex()) == (alpha, beta)
+
+
+# Outputs of the estimators as they were before they walked the samples in
+# row blocks, when they built the whole samples x directions matrix (recorded
+# on numpy 2.4.6, OpenBLAS 0.3.31, one BLAS thread), floats in hex: curve
+# upper, lower, dir_indices and argmin_dirs at u = 0.1/0.4/0.8; q_inf_search
+# at u = 0.5 (value, direction); moment_ratios at p = 2 and p = 3 (alpha,
+# beta_p, alpha_dir, beta_dir).  Budget 60 at n = 3 leaves 6 refinement steps
+# and a 60-direction final pool; N = 3293 = 3 * (2**16 // 60) + 17 rows then
+# span three full blocks and a ragged one, while 200 rows fit in one block.
+STREAMED_PINS = [
+    (
+        "heavy-radial", {"eta": 3.0}, 3, 3293,
+        ["0x1.dbeda7385caabp-1", "0x1.76168b777cc61p-1", "0x1.f2c8b9f4a65d7p-2"],
+        ["0x1.118b7d76d4a1ep-1", "0x1.78217c4586db2p-3", "0x1.519995e2eeabep-11"],
+        [38, 38, 38],
+        ["0x1.a2f1fd047dadep-2", "-0x1.94674aa2351cdp-1", "-0x1.d3dbef4e2d798p-2"] * 3,
+        ("0x1.5725b447d5165p-1", ["-0x1.10a3926dd0b4ep-1", "0x1.7a7c4634fc604p-1", "0x1.a6303d23d6c23p-2"]),
+        [
+            ["0x1.a58900fbb7e40p-1", "0x1.33bb3bf2274f3p+0", "-0x1.c3f83f42a2a9ep-2", "0x1.8270c7c06a01cp-1",
+             "0x1.f0f1e1f55ebbcp-2", "-0x1.c3f83f42a2a9ep-2", "0x1.8270c7c06a01cp-1", "0x1.f0f1e1f55ebbcp-2"],
+            ["0x1.a5be66495d350p-1", "0x1.629285895b286p+0", "-0x1.8c44798914784p-2", "0x1.9c6a0604f5c06p-1",
+             "0x1.cb9269147049bp-2", "0x1.94d667489645dp-2", "0x1.c667c47c60470p-1", "0x1.e4c017d34b840p-3"],
+        ],
+    ),
+    (
+        "gaussian-iid", {}, 4, 200,
+        ["0x1.b851eb851eb85p-1", "0x1.3851eb851eb85p-1", "0x1.6666666666666p-2"],
+        ["0x1.bea67e23803fap-2", "0x1.b1d2c6aa928f5p-4", "0x0.0p+0"],
+        [50, 50, 3],
+        ["0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"] * 2
+        + ["0x1.c353f8a221641p-2", "0x1.8b220705c5fa3p-1", "-0x1.5716aeef90730p-2", "0x1.4063980af6972p-2"],
+        ("0x1.1c28f5c28f5c3p-1", ["0x1.02edb8f968f15p-1", "0x1.e54a95c510837p-2", "-0x1.5f17c7bb0524ep-1", "0x1.c74ff9de4c8ffp-3"]),
+        [
+            ["0x1.61d2e9d3d1b84p-1", "0x1.4b8f816360ee5p+0", "0x1.ac39545b02f02p-1", "-0x1.00cb966bc088fp-2",
+             "0x1.286e4be76a031p-4", "-0x1.ed98a3bfdd7cbp-2", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"],
+            ["0x1.681d6f957c1d2p-1", "0x1.8b2e4aeebcfbap+0", "0x1.1210d9ff04fedp-1", "-0x1.7db4efad767eep-1",
+             "-0x1.f17fb11d5e24ap-3", "-0x1.41a363bf69b5fp-2", "0x1.0069f56eca053p-2", "0x1.3653142ddb74dp-1",
+             "0x1.68d1bec464f64p-1", "-0x1.153caaff3dad6p-2"],
+        ],
+    ),
+]
+
+
+def _hex(values) -> list:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@pytest.mark.parametrize("family,kw,n,N,upper,lower,indices,argmin_dirs,q,ratios", STREAMED_PINS)
+def test_streamed_estimators_reproduce_dense_outputs(family, kw, n, N, upper, lower, indices, argmin_dirs, q, ratios):
+    x = dist.sample_matrix(dist.DistributionSpec(family, n, **kw), N, np.random.default_rng(7))
+    if N > 1000:
+        assert N > 3 * (sb._BLOCK_ELEMENTS // 60)
+    curve = sb.small_ball_curve(x, (0.1, 0.4, 0.8), budget=60, rng=8)
+    assert _hex(curve.upper) == upper and _hex(curve.lower) == lower
+    assert curve.dir_indices.tolist() == indices and _hex(curve.argmin_dirs) == argmin_dirs
+    value, direction = sb.q_inf_search(x, 0.5, budget=60, rng=9)
+    assert (value.hex(), _hex(direction)) == q
+    for p, seed, expected in zip((2.0, 3.0), (10, 11), ratios):
+        r = sb.moment_ratios(x, p=p, budget=60, rng=seed)
+        assert _hex([r.alpha, r.beta_p]) + _hex(r.alpha_dir) + _hex(r.beta_dir) == expected
+
+
+def test_curve_memory_bounded_by_block():
+    """The dense curve held 100 000 x 253 projections twice over (about
+    580 MB at its peak); the streamed one holds a block at a time."""
+    x = dist.sample_matrix(dist.DistributionSpec("heavy-radial", 8, eta=3.0), 100_000, np.random.default_rng(5))
+    tracemalloc.start()
+    try:
+        sb.small_ball_curve(x, (0.1, 0.2, 0.4, 0.8), budget=256, rng=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, peak
