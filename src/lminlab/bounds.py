@@ -90,6 +90,22 @@ def _require_finite(**values: float) -> None:
             raise InvalidParameterError(f"{name} must be finite, got {value}")
 
 
+def _power(x: float, p: float) -> float:
+    """``x**p``, or inf where that is beyond float range."""
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
+
+
+def _representable(floor: float, formula: str) -> float:
+    """The floor, refused when evaluating it overflows float range.  A floor
+    that underflows comes out 0, as any float product does."""
+    if not math.isfinite(floor):
+        raise InvalidParameterError(f"floor {formula} overflows float range for these inputs")
+    return floor
+
+
 def regime_for_eta(eta: float) -> str:
     if not (eta > 0):
         raise InvalidParameterError(f"eta must be > 0, got {eta}")
@@ -145,6 +161,7 @@ def floor_regime(eta: float, beta: float, k: ConstantSet, N: int) -> BoundPredic
         constants = {"c5": k.c5, "c6": k.c6}
         if beta == 1.0:
             flags.append("degenerate-edge")
+    floor = _representable(floor, "1 - c * rate")
     if floor <= 0:
         flags.append("vacuous")
     return BoundPrediction(
@@ -173,7 +190,7 @@ def basic_floor(tau: float, q2tau: float, r_n: float, N: int) -> BoundPrediction
         raise InvalidParameterError(f"N must be >= 1, got {N}")
     threshold = tau * q2tau / 16.0
     ok = r_n <= threshold
-    floor = tau**2 * q2tau / 2.0
+    floor = _representable(_power(tau, 2) * q2tau / 2.0, "tau^2 q2tau/2")
     pfail = _clamp01(2.0 * math.exp(-(q2tau**2) * N / 8.0))
     flags = ["squared-scale"]
     if floor <= 0:
@@ -196,10 +213,10 @@ def isomorphic_floor(band: CovarianceBand, n: int, N: int, k: ConstantSet) -> Bo
     """
     if n < 1 or N < 1:
         raise InvalidParameterError(f"need n, N >= 1, got n={n}, N={N}")
-    needed = k.iso_c0 * band.B**4 * (band.A / band.a) ** 2 * n
+    needed = k.iso_c0 * _power(band.B, 4) * _power(band.A / band.a, 2) * n
     ok = N >= needed
-    floor = k.iso_c2 * band.a / band.B**2
-    pfail = _clamp01(math.exp(-k.iso_c1 * N / band.B**4))
+    floor = _representable(k.iso_c2 * band.a / _power(band.B, 2), "c2 a/B^2")
+    pfail = _clamp01(math.exp(-k.iso_c1 * N / _power(band.B, 4)))
     return BoundPrediction(
         regime="isomorphic",
         floor=floor,
@@ -226,12 +243,10 @@ def general_floor(
         raise InvalidParameterError(f"q2tau must be in [0, 1], got {q2tau}")
     if A <= 0 or n < 1 or N < 1:
         raise InvalidParameterError(f"need A > 0, n >= 1, N >= 1; got A={A}, n={n}, N={N}")
-    if q2tau == 0:
-        needed = math.inf
-    else:
-        needed = k.gen_c1 * A * n / (tau**2 * q2tau**2)
+    scale = _power(tau, 2) * q2tau**2
+    needed = k.gen_c1 * A * n / scale if scale > 0 else math.inf
     ok = N >= needed
-    floor = k.gen_c2 * tau * math.sqrt(q2tau)
+    floor = _representable(k.gen_c2 * tau * math.sqrt(q2tau), "c2 tau sqrt(q2tau)")
     pfail = _clamp01(2.0 * math.exp(-k.gen_c3 * N * q2tau**2))
     return BoundPrediction(
         regime="general-smallball",

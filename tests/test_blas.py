@@ -88,6 +88,26 @@ def test_overlapping_sweeps_share_one_pin(blas_two_threads):
     assert [get() for get in getters] == [2] * len(getters)
 
 
+def test_pin_finds_numpys_openblas():
+    """An OpenBLAS build without a thread control fails here rather than
+    skipping the pin tests, and loading scipy's own OpenBLAS does not take
+    the pin off numpy's."""
+    import scipy.linalg  # noqa: F401
+
+    controls = blas._openblas_controls()
+    blas_name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    assert controls or "openblas" not in blas_name.lower(), blas_name
+    for get, set_ in controls:
+        saved = get()
+        set_(2)
+        try:
+            with blas._single_threaded_blas:
+                assert get() == 1
+            assert get() == 2
+        finally:
+            set_(saved)
+
+
 @pytest.mark.parametrize(
     "rows,row_elements,block_elements,multiple,lengths",
     [

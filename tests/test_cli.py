@@ -232,6 +232,35 @@ def test_bounds_rejects_nonfinite_inputs(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv,rc,expected",
+    [
+        (["--regime", "isomorphic", "--B", "1e100", "--n", "4"], 0, "precondition_ok,False"),
+        (["--regime", "general", "--tau", "1e-200", "--q2tau", "0.5", "--n", "4"], 0, "precondition_ok,False"),
+        (["--regime", "basic", "--tau", "1e200", "--q2tau", "0.5", "--rn", "0.1"], 2, "overflows float range"),
+        (["--regime", "tail", "--eta", "2", "--beta", "0.05", "--config", "CONSTANTS"], 2, "overflows float range"),
+    ],
+    ids=["isomorphic-threshold", "general-threshold", "basic-floor", "tail-floor"],
+)
+def test_bounds_beyond_float_range(tmp_path, capsys, argv, rc, expected):
+    """A precondition threshold beyond float range is inf, so the
+    precondition fails; a floor that overflows is an input error."""
+    constants = tmp_path / "k.ini"
+    constants.write_text("[constants]\nc4 = 1.7e308\n")
+    argv = [str(constants) if a == "CONSTANTS" else a for a in argv]
+    assert cli.main(["bounds", *argv, "--N", "10"]) == rc
+    captured = capsys.readouterr()
+    assert expected in (captured.out if rc == 0 else captured.err)
+
+
+def test_fit_constant_overflow_exits_2(tmp_path, capsys):
+    rows = tmp_path / "rows.csv"
+    rows.write_text("beta,deficit\n1e-3,1e300\n1e-4,1e297\n1e-6,1e290\n1e-8,1e283\n")
+    assert cli.main(["fit", "--rows", str(rows)]) == 2
+    captured = capsys.readouterr()
+    assert "fitted constant" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
     "cell,message",
     [("abc", "line 4"), ("", "line 4"), ("inf", "finite"), ("nan", "finite")],
     ids=["non-numeric", "empty", "inf", "nan"],

@@ -162,9 +162,8 @@ def _run_fresh_python(code: str, tmp_path) -> subprocess.CompletedProcess:
     ids=lambda d: d.split()[2],
 )
 def test_cli_sweep_never_imports_scipy(tmp_path, distribution):
-    """The sweep pins only the BLAS libraries loaded when it starts, so
-    neither ``import lminlab.cli`` nor a trial may load scipy (and with it
-    scipy's own OpenBLAS)."""
+    """The sweep pins only numpy's OpenBLAS, so neither ``import lminlab.cli``
+    nor a trial may load scipy, whose own OpenBLAS the pin leaves alone."""
     (tmp_path / "cfg.ini").write_text(
         f"[distribution]\n{distribution}\nn = 4\n\n[sweep]\nbeta_grid = 0.5 0.25\ntrials = 2\nseed = 3\n"
     )
