@@ -4,10 +4,12 @@ A threaded BLAS reduces in an order that depends on its thread count, so a
 product can change in the last ulp with ``OPENBLAS_NUM_THREADS``.  Code whose
 seeded output must not depend on that count runs its BLAS calls inside
 ``_single_threaded_blas``, which pins the OpenBLAS numpy calls (scipy's own
-OpenBLAS is left alone).  The estimators in ``smallball`` and ``rademacher``
-also walk their samples in fixed row blocks (``row_blocks``), so their memory
-is bounded by the block size and each block's product takes the same BLAS
-path whatever the total row count.
+OpenBLAS is left alone; no lab command loads scipy).  The sweep, the
+estimators in ``smallball`` and ``rademacher``, ``spectrum.lambda_min_power``
+and ``lminlab spectrum`` hold it.  The estimators also walk their samples in
+fixed row blocks (``row_blocks``), so their memory is bounded by the block
+size and each block's product takes the same BLAS path whatever the total
+row count.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ small-ball floor c2 tau sqrt(Q(2tau)).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .distributions import CovarianceBand
@@ -90,6 +91,16 @@ def _require_finite(**values: float) -> None:
             raise InvalidParameterError(f"{name} must be finite, got {value}")
 
 
+def _require_counts(**counts: int) -> None:
+    """Each count is >= 1 and converts to a float: the formulas mix it with
+    floats, and an integer beyond float range would raise ``OverflowError``."""
+    for name, value in counts.items():
+        if value < 1:
+            raise InvalidParameterError(f"{name} must be >= 1, got {value}")
+        if value > sys.float_info.max:
+            raise InvalidParameterError(f"{name} is beyond float range ({len(str(value))} digits)")
+
+
 def _power(x: float, p: float) -> float:
     """``x**p``, or inf where that is beyond float range."""
     try:
@@ -141,8 +152,7 @@ def floor_regime(eta: float, beta: float, k: ConstantSet, N: int) -> BoundPredic
     """
     if not (0 < beta <= 1):
         raise InvalidParameterError(f"beta must be in (0, 1], got {beta}")
-    if N < 1:
-        raise InvalidParameterError(f"N must be >= 1, got {N}")
+    _require_counts(N=N)
     regime = regime_for_eta(eta)
     flags: list[str] = []
     if regime == "eta-gt-2":
@@ -186,8 +196,7 @@ def basic_floor(tau: float, q2tau: float, r_n: float, N: int) -> BoundPrediction
         raise InvalidParameterError(f"tau must be > 0, got {tau}")
     if not (0 <= q2tau <= 1):
         raise InvalidParameterError(f"q2tau must be in [0, 1], got {q2tau}")
-    if N < 1:
-        raise InvalidParameterError(f"N must be >= 1, got {N}")
+    _require_counts(N=N)
     threshold = tau * q2tau / 16.0
     ok = r_n <= threshold
     floor = _representable(_power(tau, 2) * q2tau / 2.0, "tau^2 q2tau/2")
@@ -211,8 +220,7 @@ def isomorphic_floor(band: CovarianceBand, n: int, N: int, k: ConstantSet) -> Bo
 
     The failure probability uses the exponent exp(-c1 N / B^4).
     """
-    if n < 1 or N < 1:
-        raise InvalidParameterError(f"need n, N >= 1, got n={n}, N={N}")
+    _require_counts(n=n, N=N)
     needed = k.iso_c0 * _power(band.B, 4) * _power(band.A / band.a, 2) * n
     ok = N >= needed
     floor = _representable(k.iso_c2 * band.a / _power(band.B, 2), "c2 a/B^2")
@@ -241,8 +249,9 @@ def general_floor(
         raise InvalidParameterError(f"tau must be > 0, got {tau}")
     if not (0 <= q2tau <= 1):
         raise InvalidParameterError(f"q2tau must be in [0, 1], got {q2tau}")
-    if A <= 0 or n < 1 or N < 1:
-        raise InvalidParameterError(f"need A > 0, n >= 1, N >= 1; got A={A}, n={n}, N={N}")
+    if A <= 0:
+        raise InvalidParameterError(f"A must be > 0, got {A}")
+    _require_counts(n=n, N=N)
     scale = _power(tau, 2) * q2tau**2
     needed = k.gen_c1 * A * n / scale if scale > 0 else math.inf
     ok = N >= needed

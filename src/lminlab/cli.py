@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 
+from . import blas
 from . import bounds as bd
 from . import distributions as dist
 from . import experiments as ex
@@ -104,7 +105,8 @@ def cmd_sample(args) -> int:
 
 def cmd_spectrum(args) -> int:
     m = sp.SampleMatrix.load(args.matrix)
-    res = sp.lambda_extremes(m)
+    with blas._single_threaded_blas:  # bits independent of the BLAS thread count
+        res = sp.lambda_extremes(m)
     out = {
         "N": m.N,
         "n": m.n,

@@ -520,19 +520,19 @@ def verify_suite(budget: int = 100) -> VerifyReport:
     ts = np.linspace(0.0, 10.0, 60)
     ok, worst = True, 0.0
     for u in us:
-        for t in ts:
-            val = phi(u, t)
-            lo = 1.0 if t >= 2 * u else 0.0
-            hi = 1.0 if t >= u else 0.0
-            if not (lo <= val <= hi):
-                ok = False
-                worst = max(worst, max(lo - val, val - hi))
+        vals = phi(u, ts)
+        lo = (ts >= 2 * u).astype(float)
+        hi = (ts >= u).astype(float)
+        bad = ~((lo <= vals) & (vals <= hi))
+        if bad.any():
+            ok = False
+            worst = max(worst, float(np.maximum(lo - vals, vals - hi)[bad].max()))
     add("phi-sandwich", ok, f"worst violation {worst:.3g}")
     ok = True
     for u in us[:10]:
         t1 = rng.uniform(0, 5, 40)
         t2 = rng.uniform(0, 5, 40)
-        lhs = np.abs(np.array([phi(u, a) for a in t1]) - np.array([phi(u, a) for a in t2]))
+        lhs = np.abs(phi(u, t1) - phi(u, t2))
         if np.any(lhs > np.abs(t1 - t2) / u + 1e-12):
             ok = False
     add("phi-lipschitz", ok, "|phi(t1)-phi(t2)| <= |t1-t2|/u on random pairs")

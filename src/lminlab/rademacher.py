@@ -12,7 +12,8 @@ average.  Generic-class Rademacher estimation is out of scope.
 The Monte Carlo path draws its sign vectors in blocks of at most
 ``_BLOCK_ELEMENTS`` signs, with BLAS pinned to one thread, so its memory does
 not grow with draws x N and its output does not depend on the BLAS thread
-count.  Each block has an even number of rows: the generator makes integers
+count.  Every block's signs are written into one float buffer: a fresh block
+array each time would be returned to the OS and faulted back in per block.  Each block has an even number of rows: the generator makes integers
 in [0, 2) from 32-bit halves of its 64-bit outputs and drops an unused half
 at the end of a call, so even blocks leave it in the state one call for all
 draws would.
@@ -81,9 +82,14 @@ def rademacher_linear(
         raise InvalidParameterError(f"draws must be >= 2 for a standard error, got {draws}")
     rng = as_generator(rng)
     norms = np.empty(draws)
+    buffer = np.empty((0, N))
     with blas._single_threaded_blas:
         for block in blas.row_blocks(draws, N, _BLOCK_ELEMENTS, multiple=2):
-            signs = rng.integers(0, 2, size=(block.stop - block.start, N)) * 2.0 - 1.0
+            if len(buffer) < block.stop - block.start:
+                buffer = np.empty((block.stop - block.start, N))
+            signs = buffer[: block.stop - block.start]
+            np.multiply(rng.integers(0, 2, size=signs.shape), 2.0, out=signs)
+            signs -= 1.0
             norms[block] = np.linalg.norm(signs @ rows, axis=1) / N
     stderr = float(norms.std(ddof=1) / np.sqrt(draws))
     return RademacherEstimate(value=float(norms.mean()), stderr=stderr, draws=draws, exact=False)

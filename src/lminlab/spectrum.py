@@ -2,18 +2,19 @@
 
 The sample matrix stores rows X_i/sqrt(N).  Extremes are computed from the
 n x n Gram matrix with a symmetric eigensolver; an independent inverse-power
-path cross-validates the smallest eigenvalue.  At desk scale (n <= ~500) the
-Gram route is the fast one and its squaring loss is irrelevant above ~1e-6.
+path, an LU inverse plus shifted solves on numpy alone, cross-validates the
+smallest eigenvalue.  At desk scale (n <= ~500) the Gram route is the fast
+one and its squaring loss is irrelevant above ~1e-6.
 """
 
 from __future__ import annotations
 
 import struct
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .distributions import DistributionSpec, sample_matrix
 from .errors import InvalidInputError, InvalidParameterError, NoConvergenceError
 from .streams import SeedRecord
@@ -141,54 +142,55 @@ def lambda_min_power(m: SampleMatrix) -> float:
     """Smallest eigenvalue of the Gram matrix by inverse iteration.
 
     Independent validation path for ``lambda_extremes`` (compare against
-    lambda_min**2).  Unshifted inverse iteration runs until the Rayleigh
+    lambda_min**2): the Gram is inverted once by LU, not by the symmetric
+    eigensolver.  Unshifted inverse iteration runs until the Rayleigh
     quotient changes by at most ``_POWER_TOL`` (relative), then two
-    Rayleigh-quotient steps polish the estimate.  Raises
-    ``NoConvergenceError`` with diagnostics after ``_POWER_MAX_ITER``
-    iterations.
+    Rayleigh-quotient steps, each a fresh shifted solve, polish the estimate
+    and any error of the explicit inverse.  BLAS runs on one thread, so the
+    result does not depend on the BLAS thread count.  A non-finite or
+    singular Gram raises ``InvalidInputError``; ``NoConvergenceError``
+    carries diagnostics after ``_POWER_MAX_ITER`` iterations.
     """
-    from scipy import linalg as sla  # loaded on first use, off lminlab's import path
-
-    g = gram(m)
-    n = g.shape[0]
-    ident = np.eye(n)
-    try:
-        lu = sla.lu_factor(g)
-    except ValueError as exc:
-        raise InvalidInputError(f"gram not factorizable: {exc}") from exc
-    # Deterministic start vector with a ramp so it is not an eigenvector of
-    # structured test matrices.
-    v = np.ones(n) + np.linspace(0.0, 0.5, n)
-    v /= np.linalg.norm(v)
-    est = float("inf")
-    for _ in range(_POWER_MAX_ITER):
-        w = sla.lu_solve(lu, v)
-        norm_w = np.linalg.norm(w)
-        if not np.isfinite(norm_w) or norm_w == 0.0:
-            if not np.isfinite(est):
-                raise InvalidInputError("gram is numerically singular")
-            break  # solve blew up: v is numerically the eigenvector already
-        v = w / norm_w
-        new_est = float(v @ g @ v)
-        if abs(new_est - est) <= _POWER_TOL * max(1.0, abs(new_est)):
-            est = new_est
-            break
-        est = new_est
-    else:
-        raise NoConvergenceError("inverse power iteration did not converge", _POWER_MAX_ITER, est)
-    # Rayleigh-quotient polish (cubic); a singular factorization here means
-    # the estimate is already at an eigenvalue.
-    for _ in range(2):
+    with blas._single_threaded_blas:
+        g = gram(m)
+        if not np.all(np.isfinite(g)):
+            raise InvalidInputError("gram has non-finite entries")
+        n = g.shape[0]
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", sla.LinAlgWarning)
-                lu2 = sla.lu_factor(g - est * ident)
-                w = sla.lu_solve(lu2, v)
-        except (ValueError, sla.LinAlgError):
-            break
-        norm_w = np.linalg.norm(w)
-        if not np.isfinite(norm_w) or norm_w == 0.0:
-            break
-        v = w / norm_w
-        est = float(v @ g @ v)
+            g_inv = np.linalg.inv(g)
+        except np.linalg.LinAlgError as exc:
+            raise InvalidInputError(f"gram not invertible: {exc}") from exc
+        # Deterministic start vector with a ramp so it is not an eigenvector of
+        # structured test matrices.
+        v = np.ones(n) + np.linspace(0.0, 0.5, n)
+        v /= np.linalg.norm(v)
+        est = float("inf")
+        for _ in range(_POWER_MAX_ITER):
+            w = g_inv @ v
+            norm_w = np.linalg.norm(w)
+            if not np.isfinite(norm_w) or norm_w == 0.0:
+                if not np.isfinite(est):
+                    raise InvalidInputError("gram is numerically singular")
+                break  # step blew up: v is numerically the eigenvector already
+            v = w / norm_w
+            new_est = float(v @ g @ v)
+            if abs(new_est - est) <= _POWER_TOL * max(1.0, abs(new_est)):
+                est = new_est
+                break
+            est = new_est
+        else:
+            raise NoConvergenceError("inverse power iteration did not converge", _POWER_MAX_ITER, est)
+        # Rayleigh-quotient polish (cubic); a singular shifted solve means the
+        # estimate is already at an eigenvalue.
+        ident = np.eye(n)
+        for _ in range(2):
+            try:
+                w = np.linalg.solve(g - est * ident, v)
+            except np.linalg.LinAlgError:
+                break
+            norm_w = np.linalg.norm(w)
+            if not np.isfinite(norm_w) or norm_w == 0.0:
+                break
+            v = w / norm_w
+            est = float(v @ g @ v)
     return est

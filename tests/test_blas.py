@@ -165,31 +165,49 @@ def test_estimators_pin_blas_and_restore(monkeypatch, blas_two_threads, estimato
     assert [get() for get in getters] == [2] * len(getters)
 
 
+def _sample_then_spectrum(tmp_path, n: str, N: str) -> list[list[str]]:
+    matrix = tmp_path / f"m{n}.bin"
+    return [
+        ["sample", "--family", "gaussian-iid", "--n", n, "--N", N, "--seed", "2", "--out", str(matrix)],
+        ["spectrum", "--matrix", str(matrix), "--power", "--format", "json"],
+    ]
+
+
 def test_estimator_output_independent_of_blas_threads(tmp_path):
-    """``lminlab smallball`` and ``lminlab rademacher --method mc`` write the
-    same bytes for every OPENBLAS_NUM_THREADS; each run is a fresh process
-    because OpenBLAS reads the variable when it loads.  The Rademacher case
-    differed by 2 ulp of ``value`` between one and two threads while its
-    product ran threaded."""
+    """``lminlab smallball``, ``lminlab rademacher --method mc`` and
+    ``lminlab spectrum --power`` on a sampled matrix write the same bytes for
+    every OPENBLAS_NUM_THREADS; each run is a fresh process because OpenBLAS
+    reads the variable when it loads.  The Rademacher case differed by 2 ulp
+    of ``value`` between one and two threads while its product ran threaded.
+    Unpinned, the eigensolve changed ``lambda_min``, ``lambda_max`` and
+    ``residual`` of the 100-column spectrum, and the inverse iteration
+    changed ``lambda_min_sq_power`` of the 200-column one."""
     commands = {
-        "smallball": ["smallball", "--family", "heavy-radial", "--n", "8", "--eta", "3", "--samples", "30000"],
-        "rademacher": ["rademacher", "--family", "gaussian-iid", "--n", "5", "--N", "2049", "--draws", "1537"]
-        + ["--method", "mc", "--format", "json"],
+        "smallball": [
+            ["smallball", "--family", "heavy-radial", "--n", "8", "--eta", "3", "--samples", "30000", "--seed", "2"]
+        ],
+        "rademacher": [
+            ["rademacher", "--family", "gaussian-iid", "--n", "5", "--N", "2049", "--draws", "1537"]
+            + ["--method", "mc", "--format", "json", "--seed", "2"]
+        ],
+        "spectrum-100": _sample_then_spectrum(tmp_path, "100", "1600"),
+        "spectrum-200": _sample_then_spectrum(tmp_path, "200", "400"),
     }
     src = str(Path(lminlab.__file__).resolve().parents[1])
     outputs = {}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        for name, argv in commands.items():
+        for name, steps in commands.items():
             out = tmp_path / f"{name}-{threads}"
-            subprocess.run(
-                [sys.executable, "-m", "lminlab.cli", *argv, "--seed", "2", "--out", str(out)],
-                env=env,
-                check=True,
-                capture_output=True,
-                timeout=300,
-            )
+            for argv in steps[:-1] + [steps[-1] + ["--out", str(out)]]:
+                subprocess.run(
+                    [sys.executable, "-m", "lminlab.cli", *argv],
+                    env=env,
+                    check=True,
+                    capture_output=True,
+                    timeout=300,
+                )
             outputs[name, threads] = out.read_bytes()
     for name in commands:
         assert outputs[name, "1"] == outputs[name, "2"], name

@@ -252,6 +252,26 @@ def test_bounds_beyond_float_range(tmp_path, capsys, argv, rc, expected):
     assert expected in (captured.out if rc == 0 else captured.err)
 
 
+HUGE = "1" + "0" * 400  # an integer beyond float range
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["--regime", "tail", "--eta", "3", "--beta", "0.5", "--N", HUGE], "N"),
+        (["--regime", "basic", "--tau", "0.5", "--q2tau", "0.5", "--rn", "0.01", "--N", HUGE], "N"),
+        (["--regime", "general", "--tau", "0.5", "--q2tau", "0.5", "--n", "4", "--N", HUGE], "N"),
+        (["--regime", "general", "--tau", "0.5", "--q2tau", "0.5", "--n", HUGE, "--N", "100"], "n"),
+        (["--regime", "isomorphic", "--n", HUGE, "--N", "100"], "n"),
+    ],
+    ids=["tail-N", "basic-N", "general-N", "general-n", "isomorphic-n"],
+)
+def test_bounds_huge_integer_count_exits_2(capsys, argv, name):
+    assert cli.main(["bounds", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {name} is beyond float range (401 digits)\n" and captured.out == ""
+
+
 def test_fit_constant_overflow_exits_2(tmp_path, capsys):
     rows = tmp_path / "rows.csv"
     rows.write_text("beta,deficit\n1e-3,1e300\n1e-4,1e297\n1e-6,1e290\n1e-8,1e283\n")

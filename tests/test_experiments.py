@@ -178,18 +178,25 @@ def test_cli_sweep_never_imports_scipy(tmp_path, distribution):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_verify_loads_scipy_on_first_use(tmp_path):
+def test_verify_never_imports_scipy(tmp_path):
+    """``verify``, ``spectrum --power`` and the heavy-radial tail run on numpy
+    alone; only ``vc_bruteforce`` loads scipy."""
     code = (
         "import sys\n"
         "from lminlab import cli\n"
+        "from lminlab import distributions as dist\n"
         "assert 'scipy' not in sys.modules, 'import'\n"
-        "rc = cli.main(['verify', '--budget', '10'])\n"
-        "assert 'scipy' in sys.modules, 'verify'\n"
-        "sys.exit(rc)\n"
+        "assert cli.main(['verify', '--budget', '10']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'verify'\n"
+        "assert cli.main(['sample', '--family', 'gaussian-iid', '--n', '4', '--N', '9', '--out', 'm.bin']) == 0\n"
+        "assert cli.main(['spectrum', '--matrix', 'm.bin', '--power']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'spectrum --power'\n"
+        "tail = dist.theoretical_tail(dist.DistributionSpec('heavy-radial', 8, eta=5.0), 0.5)\n"
+        "assert 0.0 < tail < 1.0 and 'scipy' not in sys.modules, 'heavy-radial tail'\n"
     )
     proc = _run_fresh_python(code, tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "overall: PASS (budget 10)"
+    assert "overall: PASS (budget 10)" in proc.stdout
 
 
 def test_run_sweep_repeat_bit_identical():

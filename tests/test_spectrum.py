@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lminlab import cli
 from lminlab import distributions as dist
 from lminlab import spectrum as sp
 from lminlab.errors import InvalidInputError, InvalidParameterError
@@ -116,6 +117,38 @@ def test_power_iteration_multiplicity_two():
     g = q @ np.diag([0.4, 0.4, 1.0, 2.0, 3.0]) @ q.T
     vals = np.linalg.cholesky(g).T
     assert sp.lambda_min_power(_matrix(vals)) == pytest.approx(0.4, rel=1e-9)
+
+
+def _singular(column: str) -> sp.SampleMatrix:
+    values = np.array([[1, 2, 0, 1], [3, 1, 1, 0], [0, 2, 2, 1], [1, 1, 0, 4], [2, 0, 1, 1], [1, 3, 1, 2]], float)
+    if column == "zero":
+        values[:, 2] = 0.0
+    else:
+        values[:, 3] = values[:, 1]
+    return _matrix(values)
+
+
+@pytest.mark.parametrize("column", ["zero", "duplicate"])
+def test_power_iteration_singular_gram(column):
+    with pytest.raises(InvalidInputError, match="gram not invertible"):
+        sp.lambda_min_power(_singular(column))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+def test_power_iteration_rejects_overflowing_gram():
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        sp.lambda_min_power(_matrix(np.eye(3) * 1e200))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("column", ["zero", "duplicate"])
+def test_spectrum_power_singular_gram_exits_2(tmp_path, capsys, column):
+    """A singular Gram is an input error, reported without a warning."""
+    path = tmp_path / "m.bin"
+    _singular(column).save(path)
+    assert cli.main(["spectrum", "--matrix", str(path), "--power"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: gram not invertible") and captured.err.count("\n") == 1
 
 
 def test_gaussian_median_near_asymptotic_edge():
