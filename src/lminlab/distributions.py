@@ -121,17 +121,27 @@ def sample_matrix(spec: DistributionSpec, m: int, rng: np.random.Generator | int
 
     - gaussian-iid: one (m, n) block of standard normals
     - heavy-iid: (m, n) uniforms for magnitudes, then (m, n) sign bits
-    - heavy-radial: (m, n) normals for directions, then m uniforms for radii
+    - heavy-radial: (m, n) normals for directions, then m uniforms for radii;
+      for n > 1 each normal row g_i is scaled in place, in one pass, by
+      sqrt(n) * rho_i / ||g_i||, with the norm from a row-wise ``einsum``
+      (no m x n temporary)
     - rademacher-vec: (m, n) sign bits
     - atomic-mixture: m uniforms for the atom coin, then (m, n) normals
       (normals are drawn even for atom rows, so the stream layout does not
       depend on the coin outcomes)
     - uniform-cube: one (m, n) uniform block on [-sqrt(3), sqrt(3)]
+
+    An ``m * n`` beyond numpy's largest array size raises
+    ``InvalidParameterError``.
     """
+    n = spec.n
     if m < 1:
         raise InvalidParameterError(f"m must be >= 1, got {m}")
+    if m * n > np.iinfo(np.intp).max:
+        raise InvalidParameterError(
+            f"m * n has {len(str(m * n))} digits, beyond numpy's array size limit {np.iinfo(np.intp).max}"
+        )
     rng = as_generator(rng)
-    n = spec.n
     fam = spec.family
 
     if fam == "gaussian-iid":
@@ -145,16 +155,16 @@ def sample_matrix(spec: DistributionSpec, m: int, rng: np.random.Generator | int
 
     if fam == "heavy-radial":
         g = rng.standard_normal((m, n))
+        s0 = pareto_threshold(spec.eta)
+        rho = s0 * (1.0 - rng.random(m)) ** (-1.0 / (2.0 + spec.eta))
         if n == 1:
             theta = np.sign(g)
             theta[theta == 0] = 1.0
-        else:
-            theta = g  # scaled in place: a sweep draws one of these per trial
-            theta /= np.linalg.norm(g, axis=1, keepdims=True)
-        s0 = pareto_threshold(spec.eta)
-        rho = s0 * (1.0 - rng.random(m)) ** (-1.0 / (2.0 + spec.eta))
-        theta *= math.sqrt(n) * rho[:, None]  # bit-identical to sqrt(n) * rho[:, None] * theta
-        return theta
+            theta *= rho[:, None]
+            return theta
+        # one in-place pass over the normals: a sweep draws one of these per trial
+        g *= (math.sqrt(n) * rho / np.sqrt(np.einsum("ij,ij->i", g, g)))[:, None]
+        return g
 
     if fam == "rademacher-vec":
         return rng.integers(0, 2, size=(m, n)) * 2.0 - 1.0

@@ -47,6 +47,11 @@ SUMMARY_HEADER = [
 ]
 
 
+# Version of the sweep result JSON, bumped whenever a change moves its
+# fields or its seeded values.
+RESULT_FORMAT_VERSION = 2
+
+
 @dataclass(frozen=True)
 class OutputPaths:
     rows: str | None = None
@@ -163,6 +168,7 @@ class SweepResult:
 
     def to_json_dict(self) -> dict:
         return {
+            "format_version": RESULT_FORMAT_VERSION,
             "seed": self.config_seed,
             "rows": [vars(r) for r in self.rows],
             "summaries": [vars(s) for s in self.summaries],
@@ -180,7 +186,7 @@ def _trial(cfg: ExperimentConfig, beta_index: int, trial_index: int):
     N = cfg.sample_size(beta)
     record = SeedRecord(cfg.seed, beta_index, trial_index)
     m = sp.assemble(cfg.spec, N, record)
-    res = sp.lambda_extremes(m)
+    res = sp.lambda_extremes(m, vectors=False)
     return TrialRow(
         family=cfg.spec.family,
         eta=cfg.spec.eta,

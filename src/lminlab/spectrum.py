@@ -1,14 +1,18 @@
 """Row-normalized sample matrices and their extreme singular values.
 
 The sample matrix stores rows X_i/sqrt(N).  Extremes are computed from the
-n x n Gram matrix with a symmetric eigensolver; an independent inverse-power
-path, an LU inverse plus shifted solves on numpy alone, cross-validates the
-smallest eigenvalue.  At desk scale (n <= ~500) the Gram route is the fast
-one and its squaring loss is irrelevant above ~1e-6.
+n x n Gram matrix with a symmetric eigensolver: eigenvalues only for sweep
+trials, which report nothing else, and eigenpairs with a residual for
+``lminlab spectrum`` and ``verify``.  An independent inverse-power path, an
+LU inverse plus shifted solves on numpy alone, cross-validates the smallest
+eigenvalue.  At desk scale (n <= ~500) the Gram route is the fast one and
+its squaring loss is irrelevant above ~1e-6.  A Gram with a non-finite
+entry is an input error on every path.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -88,7 +92,8 @@ class SampleMatrix:
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Extreme singular values with a backward-error estimate."""
+    """Extreme singular values with a backward-error estimate (NaN when the
+    solve computed no eigenvectors)."""
 
     lambda_min: float
     lambda_max: float
@@ -107,25 +112,42 @@ def assemble(spec: DistributionSpec, N: int, seed: int | SeedRecord) -> SampleMa
 
 
 def gram(m: SampleMatrix) -> np.ndarray:
-    """Exact Gram matrix of the columns (symmetric to round-off)."""
-    g = m.values.T @ m.values
-    return (g + g.T) / 2.0
+    """Exact Gram matrix of the columns (symmetric to round-off).
+
+    Entries large enough to overflow make it non-finite, which raises
+    ``InvalidInputError`` instead of handing inf or NaN to a solver.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = m.values.T @ m.values
+        g = (g + g.T) / 2.0
+    if not np.all(np.isfinite(g)):
+        raise InvalidInputError("gram has non-finite entries")
+    return g
 
 
-def lambda_extremes(m: SampleMatrix) -> SpectralResult:
+def lambda_extremes(m: SampleMatrix, vectors: bool = True) -> SpectralResult:
     """Extreme singular values via the symmetric eigenproblem of the Gram.
 
     For N < n the matrix is rank deficient and lambda_min is reported as
-    exactly 0.  The residual is max ||G v - mu v|| over the two extreme
-    eigenpairs, scaled by lambda_max (machine-level for a healthy solve).
+    exactly 0.  With ``vectors`` the solver is ``eigh`` and the residual is
+    max ||G v - mu v|| over the two extreme eigenpairs, scaled by lambda_max
+    (machine-level for a healthy solve).  Without it the solver is
+    ``eigvalsh``, which skips the eigenvectors, and the residual is NaN: a
+    sweep trial reports only the extremes.  The two solvers' extremes agree
+    to round-off but not bit for bit.
     """
     g = gram(m)
-    vals, vecs = np.linalg.eigh(g)
+    if vectors:
+        vals, vecs = np.linalg.eigh(g)
+    else:
+        vals = np.linalg.eigvalsh(g)
     lam_max = float(np.sqrt(max(vals[-1], 0.0)))
     if m.N < m.n:
         lam_min = 0.0
     else:
         lam_min = float(np.sqrt(max(vals[0], 0.0)))
+    if not vectors:
+        return SpectralResult(lambda_min=lam_min, lambda_max=lam_max, method="sym-eig", residual=math.nan)
     res = 0.0
     for idx in (0, len(vals) - 1):
         v = vecs[:, idx]
@@ -147,14 +169,13 @@ def lambda_min_power(m: SampleMatrix) -> float:
     quotient changes by at most ``_POWER_TOL`` (relative), then two
     Rayleigh-quotient steps, each a fresh shifted solve, polish the estimate
     and any error of the explicit inverse.  BLAS runs on one thread, so the
-    result does not depend on the BLAS thread count.  A non-finite or
-    singular Gram raises ``InvalidInputError``; ``NoConvergenceError``
-    carries diagnostics after ``_POWER_MAX_ITER`` iterations.
+    result does not depend on the BLAS thread count.  A non-finite Gram
+    (see ``gram``) or a singular one raises ``InvalidInputError``;
+    ``NoConvergenceError`` carries diagnostics after ``_POWER_MAX_ITER``
+    iterations.
     """
     with blas._single_threaded_blas:
         g = gram(m)
-        if not np.all(np.isfinite(g)):
-            raise InvalidInputError("gram has non-finite entries")
         n = g.shape[0]
         try:
             g_inv = np.linalg.inv(g)

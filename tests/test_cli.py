@@ -272,6 +272,26 @@ def test_bounds_huge_integer_count_exits_2(capsys, argv, name):
     assert captured.err == f"error: {name} is beyond float range (401 digits)\n" and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--N", HUGE, "--out", "m.bin"],
+        ["rademacher", "--N", HUGE],
+        ["smallball", "--samples", HUGE],
+    ],
+    ids=["sample-N", "rademacher-N", "smallball-samples"],
+)
+def test_sampling_huge_count_exits_2(tmp_path, capsys, monkeypatch, argv):
+    """A row count whose m x n array numpy cannot index is a parameter error."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*argv, "--family", "gaussian-iid", "--n", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: m * n has 401 digits, beyond numpy's array size limit {np.iinfo(np.intp).max}\n"
+    )
+    assert captured.out == "" and not (tmp_path / "m.bin").exists()
+
+
 def test_fit_constant_overflow_exits_2(tmp_path, capsys):
     rows = tmp_path / "rows.csv"
     rows.write_text("beta,deficit\n1e-3,1e300\n1e-4,1e297\n1e-6,1e290\n1e-8,1e283\n")

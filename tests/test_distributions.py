@@ -6,6 +6,7 @@ import types
 
 import numpy as np
 import pytest
+from recorded_samples import recorded_sample_matrix
 from scipy import integrate, special
 
 from lminlab import distributions as dist
@@ -69,6 +70,39 @@ def test_sampling_deterministic():
     a = dist.sample_matrix(spec, 100, np.random.default_rng(123))
     b = dist.sample_matrix(spec, 100, np.random.default_rng(123))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n,m", [(2, 50), (3, 500), (8, 2049), (64, 2048), (100, 1600)])
+def test_heavy_radial_one_pass_scaling(n, m):
+    """The fused row factor sqrt(n) * rho / ||g|| moves rows by at most a
+    few ulp from the two-pass arithmetic the pinned estimator tests were
+    recorded on, keeps the norms at sqrt(n) * rho and draws exactly what it
+    did."""
+    spec = dist.DistributionSpec("heavy-radial", n, eta=5.0)
+    for seed in range(5):
+        fused, two_pass, replay = (np.random.default_rng(seed) for _ in range(3))
+        x = dist.sample_matrix(spec, m, fused)
+        y = recorded_sample_matrix(spec, m, two_pass)
+        assert np.all(np.abs(x - y) <= 8 * np.spacing(np.abs(y)))
+        replay.standard_normal((m, n))
+        rho = dist.pareto_threshold(5.0) * (1.0 - replay.random(m)) ** (-1.0 / 7.0)
+        assert np.allclose(np.linalg.norm(x, axis=1), math.sqrt(n) * rho, rtol=1e-14, atol=0)
+        assert fused.random() == two_pass.random() == replay.random()
+
+
+def test_heavy_radial_n1_is_signed_radius():
+    spec = dist.DistributionSpec("heavy-radial", 1, eta=5.0)
+    x = dist.sample_matrix(spec, 200, np.random.default_rng(3))
+    replay = np.random.default_rng(3)
+    signs = np.sign(replay.standard_normal((200, 1)))
+    rho = dist.pareto_threshold(5.0) * (1.0 - replay.random(200)) ** (-1.0 / 7.0)
+    assert np.array_equal(x, signs * rho[:, None])
+
+
+def test_sample_matrix_rejects_unindexable_size():
+    spec = dist.DistributionSpec("gaussian-iid", 4)
+    with pytest.raises(InvalidParameterError, match="array size limit"):
+        dist.sample_matrix(spec, 2**62, np.random.default_rng(0))
 
 
 def test_rademacher_vec_values_exact():

@@ -116,15 +116,16 @@ def test_sweep_output_independent_of_blas_and_pool_threads(tmp_path):
     """Seeded sweep CSVs hash the same for every OPENBLAS_NUM_THREADS and
     --threads; each run is a fresh process because OpenBLAS reads the
     variable when it loads."""
-    cfg = tmp_path / "cfg.ini"
-    cfg.write_text(
-        "[distribution]\nfamily = gaussian-iid\nn = 100\n\n"
-        "[sweep]\nbeta_grid = 0.0625 0.25\ntrials = 20\nseed = 20260809\n"
-    )
+    configs = {
+        "gaussian": "family = gaussian-iid\nn = 100\n\n[sweep]\nbeta_grid = 0.0625 0.25\ntrials = 20\n",
+        "radial": "family = heavy-radial\neta = 5\nn = 16\n\n[sweep]\nbeta_grid = 0.0625 0.25\ntrials = 10\n",
+    }
     src = str(Path(lminlab.__file__).resolve().parents[1])
     hashes = {}
-    for blas, pool in itertools.product(("1", "2"), ("1", "2")):
-        prefix = tmp_path / f"blas{blas}-pool{pool}"
+    for (name, text), blas, pool in itertools.product(configs.items(), ("1", "2"), ("1", "2")):
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(f"[distribution]\n{text}seed = 20260809\n")
+        prefix = tmp_path / f"{name}-blas{blas}-pool{pool}"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=blas)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         subprocess.run(
@@ -137,8 +138,9 @@ def test_sweep_output_independent_of_blas_and_pool_threads(tmp_path):
         digest = hashlib.sha256()
         for suffix in (".rows.csv", ".summary.csv"):
             digest.update(Path(f"{prefix}{suffix}").read_bytes())
-        hashes[(blas, pool)] = digest.hexdigest()
-    assert len(set(hashes.values())) == 1, hashes
+        hashes.setdefault(name, {})[(blas, pool)] = digest.hexdigest()
+    for name, runs in hashes.items():
+        assert len(set(runs.values())) == 1, (name, runs)
 
 
 def _run_fresh_python(code: str, tmp_path) -> subprocess.CompletedProcess:
@@ -236,6 +238,25 @@ def test_result_json_summary_fields():
     ]
     for summary in r.to_json_dict()["summaries"]:
         assert list(summary) == expected
+
+
+def test_result_json_format_version():
+    payload = ex.run_sweep(small_config(trials=2)).to_json_dict()
+    assert list(payload) == ["format_version", "seed", "rows", "summaries", "fit", "failures"]
+    assert payload["format_version"] == 2
+
+
+def test_sweep_trials_compute_no_eigenvectors(monkeypatch):
+    """Trials report only the extremes, so they solve for eigenvalues alone;
+    an ``eigh`` that raises must not reach a single trial."""
+
+    def eigh(*args, **kwargs):
+        raise AssertionError("a sweep trial called eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    for spec in (dist.DistributionSpec("gaussian-iid", 12), dist.DistributionSpec("heavy-radial", 8, eta=5.0)):
+        r = ex.run_sweep(small_config(spec=spec), threads=2)
+        assert r.failures == () and len(r.rows) == 12
 
 
 def test_run_sweep_csv_headers(tmp_path):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from recorded_samples import recorded_sample_matrix
 
 from lminlab import distributions as dist
 from lminlab import rademacher as rad
@@ -85,7 +86,7 @@ def test_exact_cap_enforced():
 # when one (draws, N) sign matrix was drawn at once (recorded on numpy 2.4.6,
 # OpenBLAS 0.3.31, one BLAS thread): (N, draws, value, stderr, the
 # generator's next random()), floats in hex.  Heavy-radial rows, n = 8, drawn
-# with seed N; signs drawn with seed draws.  At N = 2049 a block holds 510
+# with seed N by ``recorded_sample_matrix``; signs drawn with seed draws.  At N = 2049 a block holds 510
 # rows, so 1537 odd draws are three blocks and a ragged one of 7 rows, with
 # draws x N odd; N = 4095 takes 2000 draws in 7 blocks of 256 rows and one
 # of 208; N = 15 fits in one block.  With BLAS at two threads the dense
@@ -99,7 +100,7 @@ MC_PINS = [
 
 @pytest.mark.parametrize("N,draws,value,stderr,following", MC_PINS)
 def test_blocked_mc_reproduces_dense_output(N, draws, value, stderr, following):
-    rows = dist.sample_matrix(dist.DistributionSpec("heavy-radial", 8, eta=3.0), N, np.random.default_rng(N))
+    rows = recorded_sample_matrix(dist.DistributionSpec("heavy-radial", 8, eta=3.0), N, np.random.default_rng(N))
     rng = np.random.default_rng(draws)
     est = rad.rademacher_linear(rows, draws=draws, rng=rng, method="mc")
     assert (est.value.hex(), est.stderr.hex(), rng.random().hex()) == (value, stderr, following)

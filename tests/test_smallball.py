@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from recorded_samples import recorded_sample_matrix
 
 from lminlab import distributions as dist
 from lminlab import smallball as sb
@@ -231,7 +232,7 @@ def test_curve_rejects_bad_grid(gauss_samples):
 # dir_indices point past the 102-direction base pool at refined candidates, so
 # a change in the draw order or the keep rule moves these values.  Like every
 # seeded output they hold for a fixed numpy/BLAS build (recorded on numpy 2.4.6,
-# OpenBLAS 0.3.31).
+# OpenBLAS 0.3.31), on the heavy-radial rows of ``recorded_sample_matrix``.
 SEARCH_PINS = [
     ("gaussian-iid", {}, 1, ["0x1.c189374bc6a7fp-1", "0x1.47ae147ae147bp-1", "0x1.89374bc6a7efap-2"], [48, 107, 9], "0x1.1eb851eb851ecp-1", "0x1.8561a3bb487e7p-1", "0x1.483d154a7b5d8p+0"),
     ("gaussian-iid", {}, 2, ["0x1.cac083126e979p-1", "0x1.4ed916872b021p-1", "0x1.95810624dd2f2p-2"], [72, 46, 111], "0x1.2b020c49ba5e3p-1", "0x1.8b7256dbf11d6p-1", "0x1.48af05dcdf0a0p+0"),
@@ -244,7 +245,7 @@ SEARCH_PINS = [
 
 @pytest.mark.parametrize("family,kw,seed,upper,indices,q,alpha,beta", SEARCH_PINS)
 def test_seeded_searches_pinned(family, kw, seed, upper, indices, q, alpha, beta):
-    x = dist.sample_matrix(dist.DistributionSpec(family, 3, **kw), 500, np.random.default_rng(seed))
+    x = recorded_sample_matrix(dist.DistributionSpec(family, 3, **kw), 500, np.random.default_rng(seed))
     curve = sb.small_ball_curve(x, (0.1, 0.4, 0.8), budget=120, rng=seed)
     assert [v.hex() for v in curve.upper.tolist()] == upper
     assert curve.dir_indices.tolist() == indices
@@ -261,6 +262,7 @@ def test_seeded_searches_pinned(family, kw, seed, upper, indices, q, alpha, beta
 # beta_p, alpha_dir, beta_dir).  Budget 60 at n = 3 leaves 6 refinement steps
 # and a 60-direction final pool; N = 3293 = 3 * (2**16 // 60) + 17 rows then
 # span three full blocks and a ragged one, while 200 rows fit in one block.
+# The heavy-radial rows come from ``recorded_sample_matrix``.
 STREAMED_PINS = [
     (
         "heavy-radial", {"eta": 3.0}, 3, 3293,
@@ -301,7 +303,7 @@ def _hex(values) -> list:
 
 @pytest.mark.parametrize("family,kw,n,N,upper,lower,indices,argmin_dirs,q,ratios", STREAMED_PINS)
 def test_streamed_estimators_reproduce_dense_outputs(family, kw, n, N, upper, lower, indices, argmin_dirs, q, ratios):
-    x = dist.sample_matrix(dist.DistributionSpec(family, n, **kw), N, np.random.default_rng(7))
+    x = recorded_sample_matrix(dist.DistributionSpec(family, n, **kw), N, np.random.default_rng(7))
     if N > 1000:
         assert N > 3 * (sb._BLOCK_ELEMENTS // 60)
     curve = sb.small_ball_curve(x, (0.1, 0.4, 0.8), budget=60, rng=8)

@@ -1,9 +1,11 @@
 """Tests for matrix assembly and extreme singular values."""
 
+import math
+
 import numpy as np
 import pytest
 
-from lminlab import cli
+from lminlab import blas, cli
 from lminlab import distributions as dist
 from lminlab import spectrum as sp
 from lminlab.errors import InvalidInputError, InvalidParameterError
@@ -134,10 +136,54 @@ def test_power_iteration_singular_gram(column):
         sp.lambda_min_power(_singular(column))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_power_iteration_rejects_overflowing_gram():
     with pytest.raises(InvalidInputError, match="non-finite"):
         sp.lambda_min_power(_matrix(np.eye(3) * 1e200))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("vectors", [True, False])
+def test_extremes_reject_overflowing_gram(vectors):
+    """``gram`` holds the finite check, so every spectral path shares it."""
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        sp.lambda_extremes(_matrix(np.eye(3) * 1e200), vectors=vectors)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_spectrum_overflowing_gram_exits_2(tmp_path, capsys, fmt):
+    path, out = tmp_path / "big.bin", tmp_path / "out.txt"
+    _matrix(np.eye(3) * 1e200).save(path)
+    assert cli.main(["spectrum", "--matrix", str(path), "--format", fmt, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: gram has non-finite entries\n" and captured.out == ""
+    assert not out.exists()
+
+
+def test_eigenvalue_only_solve_matches_eigh():
+    """Sweep trials solve with ``eigvalsh``; over 200 seeded Grams of each
+    benchmark shape its extremes agree with the ``eigh`` path's to 1e-13."""
+    worst = 0.0
+    with blas._single_threaded_blas:
+        for spec, N in (
+            (dist.DistributionSpec("gaussian-iid", 100), 1600),
+            (dist.DistributionSpec("heavy-radial", 64, eta=5.0), 2048),
+        ):
+            for seed in range(200):
+                m = sp.assemble(spec, N, seed)
+                full, fast = sp.lambda_extremes(m), sp.lambda_extremes(m, vectors=False)
+                assert math.isnan(fast.residual) and full.residual <= 1e-12
+                for a, b in ((full.lambda_min, fast.lambda_min), (full.lambda_max, fast.lambda_max)):
+                    worst = max(worst, abs(a - b) / a)
+    assert worst <= 1e-13, worst
+
+
+def test_eigenvalue_only_solve_rank_deficient_and_clamped():
+    m = _matrix([[1.0, 0.0]])
+    r = sp.lambda_extremes(m, vectors=False)
+    assert (r.lambda_min, r.lambda_max) == (0.0, 1.0)
+    assert sp.lambda_extremes(_matrix(np.zeros((3, 2))), vectors=False).lambda_min == 0.0
 
 
 @pytest.mark.filterwarnings("error")
