@@ -7,11 +7,12 @@ Subpackages:
 - ``spectrum``: row-normalized sample matrices and extreme singular values
 - ``smallball``: sandwich estimates of the small-ball function Q(u)
 - ``rademacher``: Rademacher complexity of the linear class
-- ``bounds``: floor/probability predictions with overridable constants and
-  single-point anchor calibration
+- ``bounds``: floor/probability predictions with overridable constants
 - ``empirical_process``: truncation ramp, second-moment identity, VC
   brute force, exact tiny oracle
-- ``experiments``: beta-sweep harness, exponent fits, verification suite, CLI
+- ``experiments``: beta-sweep harness, exponent fits, config files, CSV
+  tables, verification suite
+- ``cli``: the ``lminlab`` command line
 """
 
 __version__ = "0.1.0"

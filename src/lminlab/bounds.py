@@ -3,9 +3,7 @@
 Every theorem-shaped floor is evaluated with explicit, overridable constants
 (all default to 1; the underlying results only prove existence).  Floors that
 come out <= 0 are reported as-is with a "vacuous" flag -- only probabilities
-clamp to [0, 1].  ``anchor_constant`` calibrates a regime's multiplicative
-constant at one anchor grid point; holding it fixed keeps the floor
-falsifiable on holdout grid points.
+clamp to [0, 1].
 
 Regimes over the tail surplus eta (aspect ratio beta = n/N):
 
@@ -27,8 +25,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .distributions import CovarianceBand
-from .errors import CalibrationUnavailableError, InvalidParameterError
+from .errors import InvalidParameterError
 
 ETA_EQ_TOL = 1e-9
 
@@ -58,6 +55,24 @@ class ConstantSet:
 
 
 @dataclass(frozen=True)
+class CovarianceBand:
+    """Marginal norm bounds: a <= ||<X,t>||_L2 <= A and ||.||_L2 <= B ||.||_L1."""
+
+    a: float
+    A: float
+    B: float
+
+    def __post_init__(self):
+        for name, value in (("a", self.a), ("A", self.A), ("B", self.B)):
+            if not math.isfinite(value):
+                raise InvalidParameterError(f"{name} must be finite, got {value}")
+        if not (0 < self.a <= self.A):
+            raise InvalidParameterError(f"need 0 < a <= A, got a={self.a}, A={self.A}")
+        if self.B < 1:
+            raise InvalidParameterError(f"B must be >= 1, got {self.B}")
+
+
+@dataclass(frozen=True)
 class BoundPrediction:
     """A regime-tagged floor with its failure probability and gate status."""
 
@@ -68,17 +83,6 @@ class BoundPrediction:
     precondition_ok: bool
     precondition_detail: str
     flags: tuple = ()
-
-    def as_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "floor": self.floor,
-            "prob_failure": self.prob_failure,
-            "constants": dict(self.constants),
-            "precondition_ok": self.precondition_ok,
-            "precondition_detail": self.precondition_detail,
-            "flags": list(self.flags),
-        }
 
 
 def _clamp01(x: float) -> float:
@@ -266,13 +270,3 @@ def general_floor(
         precondition_detail=f"N={N} vs c1*A*n/(tau^2 q^2)={needed:.6g}",
         flags=() if floor > 0 else ("vacuous",),
     )
-
-
-def anchor_constant(deficit: float, beta: float, regime: str, eta: float | None = None) -> float:
-    """Constant c with c * rate(beta) = deficit: single-point anchor calibration."""
-    if deficit <= 0:
-        raise CalibrationUnavailableError(f"anchor deficit must be > 0, got {deficit}")
-    rate = regime_rate(regime, beta, eta)
-    if rate <= 0:
-        raise CalibrationUnavailableError(f"rate vanishes at anchor beta={beta}")
-    return deficit / rate

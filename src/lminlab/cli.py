@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import dataclasses
 import json
 import sys
 
@@ -52,12 +52,9 @@ def _write(text: str, out) -> None:
 def _emit(pairs: dict, args) -> None:
     """Write a flat key->value record as csv rows or a json object."""
     if args.fmt == "json":
-        text = json.dumps(pairs, indent=1) + "\n"
+        _write(json.dumps(pairs, indent=1) + "\n", args.out)
     else:
-        buf = io.StringIO()
-        csv.writer(buf).writerows([k, v] for k, v in pairs.items())
-        text = buf.getvalue()
-    _write(text, args.out)
+        ex.write_table(pairs.items(), args.out)
 
 
 def _spec_from_args(args) -> dist.DistributionSpec:
@@ -130,11 +127,10 @@ def cmd_smallball(args) -> int:
     except ValueError as exc:
         raise InvalidParameterError(f"--u-grid: {exc}") from exc
     curve = sb.small_ball_curve(samples, u_grid, budget=args.budget, rng=rng)
+    columns = zip(curve.u_grid, curve.upper, curve.lower, curve.dir_indices, curve.stderr())
+    ex.write_table([["u", "q_upper", "q_lower", "dir_index", "stderr"], *columns], args.out)
     if args.out:
-        curve.to_csv(args.out)
         print(f"wrote curve to {args.out}")
-    else:
-        curve.write_csv(sys.stdout)
     return 0
 
 
@@ -178,12 +174,12 @@ def cmd_bounds(args) -> int:
         pred = bd.basic_floor(args.tau, args.q2tau, args.rn, args.N)
     elif args.regime == "isomorphic":
         _require(args, ("n",))
-        band = dist.CovarianceBand(a=args.a, A=args.A, B=args.B)
+        band = bd.CovarianceBand(a=args.a, A=args.A, B=args.B)
         pred = bd.isomorphic_floor(band, args.n, args.N, k)
     else:
         _require(args, ("tau", "q2tau", "n"))
         pred = bd.general_floor(args.tau, args.q2tau, args.A, args.n, args.N, k)
-    d = pred.as_dict()
+    d = dataclasses.asdict(pred)
     d["constants"] = json.dumps(d["constants"])
     d["flags"] = ";".join(pred.flags)
     _emit(d, args)
@@ -319,11 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  An ``LminlabError``, an ``OSError`` or a
+    ``MemoryError`` (a count too large to allocate) prints one ``error:``
+    line and returns 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LminlabError, OSError) as exc:
+    except (LminlabError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,10 +13,10 @@ Six families, all isotropic by construction (E<X,t>^2 = ||t||^2 for unit t):
                        1/sqrt(1-p) so the covariance stays the identity
 - ``uniform-cube``     iid uniform on [-sqrt(3), sqrt(3)] coordinates
 
-Analytic quantities (marginal tails, absolute moments, L1/L2 bands) refer to a
-coordinate direction; for rotation-invariant families (gaussian-iid,
-heavy-radial, atomic-mixture) they are direction-independent and therefore
-also the sphere-uniform values.
+Analytic quantities (marginal tails, absolute moments) refer to a coordinate
+direction; for rotation-invariant families (gaussian-iid, heavy-radial,
+atomic-mixture) they are direction-independent and therefore also the
+sphere-uniform values.
 """
 
 from __future__ import annotations
@@ -41,24 +41,6 @@ FAMILIES = (
 
 _HEAVY = ("heavy-iid", "heavy-radial")
 _ROTATION_INVARIANT = ("gaussian-iid", "heavy-radial", "atomic-mixture")
-
-
-@dataclass(frozen=True)
-class CovarianceBand:
-    """Marginal norm bounds: a <= ||<X,t>||_L2 <= A and ||.||_L2 <= B ||.||_L1."""
-
-    a: float
-    A: float
-    B: float
-
-    def __post_init__(self):
-        for name, value in (("a", self.a), ("A", self.A), ("B", self.B)):
-            if not math.isfinite(value):
-                raise InvalidParameterError(f"{name} must be finite, got {value}")
-        if not (0 < self.a <= self.A):
-            raise InvalidParameterError(f"need 0 < a <= A, got a={self.a}, A={self.A}")
-        if self.B < 1:
-            raise InvalidParameterError(f"B must be >= 1, got {self.B}")
 
 
 @dataclass(frozen=True)
@@ -303,31 +285,3 @@ def marginal_abs_moment(spec: DistributionSpec, q: float) -> float:
     if fam == "uniform-cube":
         return 3.0 ** (q / 2.0) / (q + 1.0)
     raise UnsupportedQueryError(f"{fam} has no analytic moments")  # pragma: no cover
-
-
-def analytic_band(spec: DistributionSpec) -> CovarianceBand:
-    """Coordinate-direction covariance band.
-
-    Isotropy pins a = A = 1 exactly.  B = ||xi||_L2 / ||xi||_L1 = 1 / E|xi| for
-    the coordinate marginal; for rotation-invariant families this is the
-    sphere-uniform value, otherwise it is a coordinate-direction value only
-    (use the empirical moment-ratio search for a sphere-wide estimate).
-    """
-    l1 = marginal_abs_moment(spec, 1.0)
-    return CovarianceBand(a=1.0, A=1.0, B=max(1.0, 1.0 / l1))
-
-
-def radial_tail_constant(spec: DistributionSpec) -> float:
-    """Sharp marginal tail constant sup_u u^(2+eta) P{|<X,e1>| >= u}.
-
-    Exact and sphere-uniform for heavy-radial; coordinate-direction only for
-    heavy-iid (the sphere-wide constant for heavy-iid is empirical).
-    """
-    if spec.family == "heavy-radial":
-        s0 = pareto_threshold(spec.eta)
-        q = 2.0 + spec.eta
-        return (math.sqrt(spec.n) * s0) ** q * _proj_abs_moment(spec.n, q)
-    if spec.family == "heavy-iid":
-        return pareto_threshold(spec.eta) ** (2.0 + spec.eta)
-    raise UnsupportedQueryError(f"tail constant only defined for heavy families, not {spec.family}")
-

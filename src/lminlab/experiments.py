@@ -17,6 +17,7 @@ import inspect
 import json
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -32,24 +33,9 @@ from .blas import _single_threaded_blas
 from .errors import CalibrationUnavailableError, ConfigError, InvalidInputError, InvalidParameterError
 from .streams import SeedRecord, check_seed
 
-ROWS_HEADER = ["family", "eta", "n", "N", "beta", "trial", "lambda_min", "lambda_max", "seed"]
-SUMMARY_HEADER = [
-    "family",
-    "eta",
-    "n",
-    "beta",
-    "median_lmin",
-    "p05_lmin",
-    "deficit",
-    "floor_regime",
-    "floor_value",
-    "precondition_ok",
-]
-
-
 # Version of the sweep result JSON, bumped whenever a change moves its
 # fields or its seeded values.
-RESULT_FORMAT_VERSION = 2
+RESULT_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -110,7 +96,6 @@ class BetaSummary:
     n: int
     N: int
     beta: float
-    mean_lmin: float
     median_lmin: float
     p05_lmin: float
     deficit: float
@@ -128,43 +113,10 @@ class SweepResult:
     failures: tuple
 
     def rows_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(ROWS_HEADER)
-            for r in self.rows:
-                w.writerow(
-                    [
-                        r.family,
-                        "" if r.eta is None else repr(float(r.eta)),
-                        r.n,
-                        r.N,
-                        repr(float(r.beta)),
-                        r.trial,
-                        repr(float(r.lambda_min)),
-                        repr(float(r.lambda_max)),
-                        r.seed,
-                    ]
-                )
+        write_table(_record_table(TrialRow, self.rows), path)
 
     def summary_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(SUMMARY_HEADER)
-            for s in self.summaries:
-                w.writerow(
-                    [
-                        s.family,
-                        "" if s.eta is None else repr(float(s.eta)),
-                        s.n,
-                        repr(float(s.beta)),
-                        repr(float(s.median_lmin)),
-                        repr(float(s.p05_lmin)),
-                        repr(float(s.deficit)),
-                        s.floor_regime,
-                        repr(float(s.floor_value)),
-                        s.precondition_ok,
-                    ]
-                )
+        write_table(_record_table(BetaSummary, self.summaries), path)
 
     def to_json_dict(self) -> dict:
         return {
@@ -179,6 +131,23 @@ class SweepResult:
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
             json.dump(self.to_json_dict(), fh, indent=1)
+
+
+def write_table(rows, path=None) -> None:
+    """Write ``rows`` as CSV to the file ``path``, or to stdout when ``path``
+    is None.  ``csv.writer`` writes every float, numpy's too, by its
+    ``repr``, and None as an empty cell."""
+    if path is None:
+        csv.writer(sys.stdout).writerows(rows)
+        return
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def _record_table(record_type, records) -> list:
+    """The table of ``records``: a header of ``record_type``'s field names,
+    then one row of field values per record."""
+    return [[f.name for f in fields(record_type)], *(vars(r).values() for r in records)]
 
 
 def _trial(cfg: ExperimentConfig, beta_index: int, trial_index: int):
@@ -270,7 +239,6 @@ def _run_sweep(cfg: ExperimentConfig, threads: int) -> SweepResult:
                 n=cfg.spec.n,
                 N=N,
                 beta=beta,
-                mean_lmin=float(lmins.mean()),
                 median_lmin=median,
                 p05_lmin=float(np.quantile(lmins, 0.05)),
                 deficit=1.0 - median,

@@ -22,7 +22,6 @@ to one thread, so seeded output does not depend on the BLAS thread count.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -282,17 +281,6 @@ class SmallBallCurve:
         """Binomial standard error of each upper estimate."""
         q = self.upper
         return np.sqrt(q * (1.0 - q) / self.sample_size)
-
-    def write_csv(self, fh) -> None:
-        """One CSV row per grid point, floats in repr form, to an open text file."""
-        w = csv.writer(fh)
-        w.writerow(["u", "q_upper", "q_lower", "dir_index", "stderr"])
-        for u, qu, ql, di, se in zip(self.u_grid, self.upper, self.lower, self.dir_indices, self.stderr()):
-            w.writerow([repr(float(u)), repr(float(qu)), repr(float(ql)), int(di), repr(float(se))])
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            self.write_csv(fh)
 
 
 def small_ball_curve(

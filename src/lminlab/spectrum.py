@@ -170,9 +170,10 @@ def lambda_min_power(m: SampleMatrix) -> float:
     Rayleigh-quotient steps, each a fresh shifted solve, polish the estimate
     and any error of the explicit inverse.  BLAS runs on one thread, so the
     result does not depend on the BLAS thread count.  A non-finite Gram
-    (see ``gram``) or a singular one raises ``InvalidInputError``;
-    ``NoConvergenceError`` carries diagnostics after ``_POWER_MAX_ITER``
-    iterations.
+    (see ``gram``) or a singular one raises ``InvalidInputError``: singular
+    when LU fails or when the estimate is at most n * eps * max|G|, the
+    round-off level of a zero eigenvalue.  ``NoConvergenceError`` carries
+    diagnostics after ``_POWER_MAX_ITER`` iterations.
     """
     with blas._single_threaded_blas:
         g = gram(m)
@@ -214,4 +215,9 @@ def lambda_min_power(m: SampleMatrix) -> float:
                 break
             v = w / norm_w
             est = float(v @ g @ v)
+    level = n * np.finfo(float).eps * float(np.abs(g).max())
+    if est <= level:
+        raise InvalidInputError(
+            f"gram is numerically singular: smallest eigenvalue estimate {est:.3g} <= n * eps * max|G| = {level:.3g}"
+        )
     return est

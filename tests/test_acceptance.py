@@ -76,7 +76,7 @@ def test_criterion_3_calibrate_then_holdout_coverage():
                 for t in range(anchor_trials)
             ]
         )
-        c = bd.anchor_constant(1.0 - float(anchor_lmins.min()), betas[0], regime, eta)
+        c = (1.0 - float(anchor_lmins.min())) / bd.regime_rate(regime, betas[0], eta)
         cfg = ex.ExperimentConfig(spec=spec, beta_grid=betas, trials=200, seed=SEED)
         r = ex.run_sweep(cfg, threads=8)
         margins = []

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from lminlab import bounds as bd
-from lminlab.distributions import CovarianceBand
 from lminlab.errors import InvalidParameterError
 
 K = bd.ConstantSet()
@@ -134,7 +133,7 @@ def test_basic_floor_failure_prob_upper_bounds_exact_oracle():
 
 
 def test_isomorphic_floor_plugin_and_gate():
-    band = CovarianceBand(1.0, 1.0, 1.0)
+    band = bd.CovarianceBand(1.0, 1.0, 1.0)
     p = bd.isomorphic_floor(band, n=10, N=100, k=K)
     assert p.precondition_ok and p.floor == 1.0
     assert p.prob_failure == pytest.approx(math.exp(-100), rel=1e-12)
@@ -143,7 +142,7 @@ def test_isomorphic_floor_plugin_and_gate():
 
 
 def test_isomorphic_floor_rademacher_band():
-    band = CovarianceBand(1.0, 1.0, math.sqrt(2))
+    band = bd.CovarianceBand(1.0, 1.0, math.sqrt(2))
     p = bd.isomorphic_floor(band, n=4, N=1000, k=K)
     assert p.floor == pytest.approx(0.5, rel=1e-12)
 
@@ -156,11 +155,6 @@ def test_general_floor_plugin_and_limits():
     # atom mass caps the floor: q2tau <= 1 - p gives floor <= c tau sqrt(1-p)
     p3 = bd.general_floor(0.5, 0.5, 1.0, 10, 10**6, K)
     assert p3.floor == pytest.approx(0.5 * math.sqrt(0.5))
-
-
-def test_anchor_constant_and_apply():
-    c = bd.anchor_constant(0.5, 0.25, "eta-gt-2")
-    assert c == pytest.approx(1.0)
 
 
 def test_constant_set_positive():
@@ -176,9 +170,9 @@ def test_constant_set_positive():
         lambda x: bd.basic_floor(1.0, 0.5, x, 100),
         lambda x: bd.general_floor(x, 0.5, 1.0, 3, 100, K),
         lambda x: bd.general_floor(1.0, 0.5, x, 3, 100, K),
-        lambda x: CovarianceBand(x, 1.0, 1.0),
-        lambda x: CovarianceBand(1.0, x, 1.0),
-        lambda x: CovarianceBand(1.0, 1.0, x),
+        lambda x: bd.CovarianceBand(x, 1.0, 1.0),
+        lambda x: bd.CovarianceBand(1.0, x, 1.0),
+        lambda x: bd.CovarianceBand(1.0, 1.0, x),
         lambda x: bd.ConstantSet(c2=x),
     ],
     ids=["basic-tau", "basic-r_n", "general-tau", "general-A", "band-a", "band-A", "band-B", "constant"],

@@ -1,6 +1,10 @@
 """CLI smoke tests through the argparse entry point."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,7 +89,7 @@ def test_sweep_and_fit(tmp_path, capsys):
     rc = cli.main(["sweep", "--config", str(cfg), "--threads", "2"])
     assert rc == 0
     summary = (tmp_path / "summary.csv").read_text().splitlines()
-    assert summary[0].startswith("family,eta,n,beta")
+    assert summary[0].startswith("family,eta,n,N,beta")
     assert len(summary) == 5
 
     rc = cli.main(["fit", "--rows", str(tmp_path / "summary.csv"), "--regime", "eta-gt-2", "--format", "json", "--out", str(tmp_path / "fit.json")])
@@ -290,6 +294,37 @@ def test_sampling_huge_count_exits_2(tmp_path, capsys, monkeypatch, argv):
         f"error: m * n has 401 digits, beyond numpy's array size limit {np.iinfo(np.intp).max}\n"
     )
     assert captured.out == "" and not (tmp_path / "m.bin").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--N", "1000000000000", "--out", "m.bin"],
+        ["rademacher", "--N", "1000000000000"],
+        ["smallball", "--samples", "1000000000000"],
+    ],
+    ids=["sample-N", "rademacher-N", "smallball-samples"],
+)
+def test_unallocatable_count_exits_2(tmp_path, argv):
+    """A row count numpy can index but not allocate (a 1e12 x 4 array) is an
+    input error.  The child process caps its own address space at 64 GiB, so
+    the allocation fails at once whatever the host's overcommit policy."""
+    code = (
+        "import resource, sys\n"
+        "from lminlab import cli\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "soft = 1 << 36 if hard == resource.RLIM_INFINITY else min(1 << 36, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+        f"sys.exit(cli.main({[*argv, '--family', 'gaussian-iid', '--n', '4']!r}))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: Unable to allocate") and proc.stderr.count("\n") == 1
+    assert proc.stdout == "" and not (tmp_path / "m.bin").exists()
 
 
 def test_fit_constant_overflow_exits_2(tmp_path, capsys):

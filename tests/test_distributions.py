@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from recorded_samples import recorded_sample_matrix
 from scipy import integrate, special
+from tail_constants import radial_tail_constant
 
+from lminlab import bounds as bd
 from lminlab import distributions as dist
-from lminlab.errors import InvalidParameterError, UnsupportedQueryError
+from lminlab.errors import InvalidParameterError
 
 ALL_SPECS = [
     dist.DistributionSpec("gaussian-iid", 6),
@@ -169,7 +171,7 @@ def test_declared_tails_hold():
             spec = dist.DistributionSpec(family, 10, eta=eta)
             x = dist.sample_matrix(spec, m, np.random.default_rng(21))
             proj = np.abs(x[:, 0])
-            L = max(1.0, dist.radial_tail_constant(spec))
+            L = max(1.0, radial_tail_constant(spec))
             for u in (1.0, 2.0, 4.0, 8.0):
                 bound = L / u ** (2 + eta)
                 emp = float((proj >= u).mean())
@@ -181,7 +183,7 @@ def test_radial_tail_constant_is_sharp():
     # heavy-radial: empirical tail <= L_sharp/u^(2+eta) + 3 se with the exact
     # constant, at thresholds in the pure power regime
     spec = dist.DistributionSpec("heavy-radial", 10, eta=1.0)
-    L = dist.radial_tail_constant(spec)
+    L = radial_tail_constant(spec)
     m = 400000
     x = dist.sample_matrix(spec, m, np.random.default_rng(7))
     proj = np.abs(x[:, 0])
@@ -306,39 +308,37 @@ def test_marginal_moment_divergence():
     assert dist.marginal_abs_moment(spec, 3.0) == math.inf
 
 
+# The analytic band of an isotropic family: a = A = 1, and
+# B = ||xi||_L2 / ||xi||_L1 = 1 / E|xi| for the coordinate marginal.
+
+
 def test_analytic_band_gaussian():
-    band = dist.analytic_band(dist.DistributionSpec("gaussian-iid", 4))
-    assert band.a == band.A == 1.0
-    assert band.B == pytest.approx(math.sqrt(math.pi / 2), rel=1e-10)
+    B = 1.0 / dist.marginal_abs_moment(dist.DistributionSpec("gaussian-iid", 4), 1.0)
+    assert B == pytest.approx(math.sqrt(math.pi / 2), rel=1e-10)
 
 
 def test_analytic_band_rademacher_coordinate():
-    band = dist.analytic_band(dist.DistributionSpec("rademacher-vec", 4))
-    assert band.B == 1.0
+    B = 1.0 / dist.marginal_abs_moment(dist.DistributionSpec("rademacher-vec", 4), 1.0)
+    assert B == 1.0
 
 
 def test_analytic_band_atomic_mixture():
     # B scales by 1/sqrt(1-p); at p = 0.5 that is sqrt(2) x the Gaussian B
-    band = dist.analytic_band(dist.DistributionSpec("atomic-mixture", 4, mixture_p=0.5))
-    expected = math.sqrt(2.0) * math.sqrt(math.pi / 2)
-    assert band.B == pytest.approx(expected, rel=1e-10)
-    # MC validation of the L1 norm behind it
     spec = dist.DistributionSpec("atomic-mixture", 4, mixture_p=0.5)
+    B = 1.0 / dist.marginal_abs_moment(spec, 1.0)
+    expected = math.sqrt(2.0) * math.sqrt(math.pi / 2)
+    assert B == pytest.approx(expected, rel=1e-10)
+    # MC validation of the L1 norm behind it
     x = dist.sample_matrix(spec, 300000, np.random.default_rng(2))
     l1 = float(np.abs(x[:, 0]).mean())
-    assert 1.0 / l1 == pytest.approx(band.B, rel=0.02)
+    assert 1.0 / l1 == pytest.approx(B, rel=0.02)
 
 
 def test_covariance_band_validation():
     with pytest.raises(InvalidParameterError):
-        dist.CovarianceBand(a=0.0, A=1.0, B=1.0)
+        bd.CovarianceBand(a=0.0, A=1.0, B=1.0)
     with pytest.raises(InvalidParameterError):
-        dist.CovarianceBand(a=2.0, A=1.0, B=1.0)
+        bd.CovarianceBand(a=2.0, A=1.0, B=1.0)
     with pytest.raises(InvalidParameterError):
-        dist.CovarianceBand(a=1.0, A=1.0, B=0.9)
-
-
-def test_unsupported_tail_constant():
-    with pytest.raises(UnsupportedQueryError):
-        dist.radial_tail_constant(dist.DistributionSpec("gaussian-iid", 3))
+        bd.CovarianceBand(a=1.0, A=1.0, B=0.9)
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from tail_constants import radial_tail_constant
 
 from lminlab import distributions as dist
 from lminlab import empirical_process as ep
@@ -85,7 +86,7 @@ def test_dyadic_sigma_equality_for_sharp_marginal():
     # u = 2^j once past the plateau
     eta = 1.0
     spec = dist.DistributionSpec("heavy-iid", 3, eta=eta)
-    sharp = dist.radial_tail_constant(spec)  # u0^(2+eta) for the scalar law
+    sharp = radial_tail_constant(spec)  # u0^(2+eta) for the scalar law
     for j in (1, 2, 3):
         tail = dist.theoretical_tail(spec, 2.0**j)
         assert tail == pytest.approx(sharp * 2.0 ** (-j * (2 + eta)), rel=1e-12)

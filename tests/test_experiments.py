@@ -1,6 +1,8 @@
 """Tests for the sweep harness, config parsing, exponent fitting, and the
 verification suite."""
 
+import csv
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -228,7 +230,6 @@ def test_result_json_summary_fields():
         "n",
         "N",
         "beta",
-        "mean_lmin",
         "median_lmin",
         "p05_lmin",
         "deficit",
@@ -243,7 +244,7 @@ def test_result_json_summary_fields():
 def test_result_json_format_version():
     payload = ex.run_sweep(small_config(trials=2)).to_json_dict()
     assert list(payload) == ["format_version", "seed", "rows", "summaries", "fit", "failures"]
-    assert payload["format_version"] == 2
+    assert payload["format_version"] == 3
 
 
 def test_sweep_trials_compute_no_eigenvectors(monkeypatch):
@@ -268,8 +269,30 @@ def test_run_sweep_csv_headers(tmp_path):
     assert rows_path.read_text().splitlines()[0] == "family,eta,n,N,beta,trial,lambda_min,lambda_max,seed"
     assert (
         summary_path.read_text().splitlines()[0]
-        == "family,eta,n,beta,median_lmin,p05_lmin,deficit,floor_regime,floor_value,precondition_ok"
+        == "family,eta,n,N,beta,median_lmin,p05_lmin,deficit,floor_regime,floor_value,precondition_ok"
     )
+
+
+def test_csv_columns_are_record_fields(tmp_path):
+    """Each CSV's header is its record's field names; the summary CSV has
+    the JSON summaries' keys, in order, and the same values."""
+    r = ex.run_sweep(small_config(trials=2))
+    rows_path, summary_path = tmp_path / "r.csv", tmp_path / "s.csv"
+    r.rows_csv(rows_path)
+    r.summary_csv(summary_path)
+    with open(rows_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(summary_path, newline="") as fh:
+        summaries = list(csv.reader(fh))
+    assert rows[0] == [f.name for f in dataclasses.fields(ex.TrialRow)]
+    assert summaries[0] == [f.name for f in dataclasses.fields(ex.BetaSummary)]
+    assert len(rows) == 1 + len(r.rows)
+    payload = r.to_json_dict()["summaries"]
+    assert len(summaries) == 1 + len(payload)
+    for cells, summary in zip(summaries[1:], payload):
+        assert list(summary) == summaries[0]
+        expected = ["" if v is None else repr(v) if isinstance(v, float) else str(v) for v in summary.values()]
+        assert cells == expected
 
 
 def test_fit_exponent_noiseless_sqrt():
@@ -395,7 +418,7 @@ def test_coverage_after_anchor_calibration():
     regime = bd.regime_for_eta(1.0)
     anchor = r.summaries[0]
     anchor_min = min(row.lambda_min for row in r.rows if row.beta == anchor.beta)
-    c = bd.anchor_constant(1 - anchor_min, anchor.beta, regime, 1.0)
+    c = (1 - anchor_min) / bd.regime_rate(regime, anchor.beta, 1.0)
     for s in r.summaries[1:]:
         floor = 1 - c * bd.regime_rate(regime, s.beta, 1.0)
         assert s.p05_lmin >= floor

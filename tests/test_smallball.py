@@ -9,6 +9,7 @@ import pytest
 from recorded_samples import recorded_sample_matrix
 
 from lminlab import distributions as dist
+from lminlab import experiments as ex
 from lminlab import smallball as sb
 from lminlab.errors import InvalidParameterError, UnsupportedQueryError
 
@@ -208,11 +209,14 @@ def test_curve_invariants_and_csv(tmp_path, gauss_samples):
     norms = np.linalg.norm(curve.argmin_dirs, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-12)
 
+    # the CSV table of the curve, as ``lminlab smallball`` writes it, reads
+    # back bit for bit
     path = tmp_path / "curve.csv"
-    curve.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "u,q_upper,q_lower,dir_index,stderr"
-    assert len(lines) == 1 + len(u_grid)
+    ex.write_table(zip(curve.u_grid, curve.upper, curve.lower, curve.dir_indices, se), path)
+    table = np.loadtxt(path, delimiter=",", ndmin=2)
+    assert table.shape == (len(u_grid), 5)
+    for column, values in zip(table.T, (curve.u_grid, curve.upper, curve.lower, curve.dir_indices, se)):
+        assert np.array_equal(column, values)
 
 
 def test_curve_rejects_bad_grid(gauss_samples):

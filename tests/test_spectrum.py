@@ -136,6 +136,32 @@ def test_power_iteration_singular_gram(column):
         sp.lambda_min_power(_singular(column))
 
 
+def test_power_iteration_duplicated_column_battery():
+    """A duplicated column makes the Gram singular.  LU seldom meets an
+    exactly zero pivot there, so the estimate's round-off level must catch
+    what it lets through: every matrix raises, none returns round-off."""
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        n = int(rng.integers(2, 13))
+        N = int(rng.integers(n, 4 * n + 1))
+        values = rng.standard_normal((N, n)) / np.sqrt(N)
+        j, k = rng.choice(n, 2, replace=False)
+        values[:, k] = values[:, j]
+        with pytest.raises(InvalidInputError, match="gram"):
+            sp.lambda_min_power(_matrix(values))
+
+
+def test_spectrum_power_on_wide_matrix_exits_2(tmp_path, capsys):
+    """N < n: the Gram is singular, so ``--power`` has no eigenvalue to report."""
+    matrix = tmp_path / "m.bin"
+    argv = ["sample", "--family", "gaussian-iid", "--n", "10", "--N", "4", "--seed", "1", "--out", str(matrix)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert cli.main(["spectrum", "--matrix", str(matrix), "--power"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: gram") and captured.out == ""
+
+
 @pytest.mark.filterwarnings("error")
 def test_power_iteration_rejects_overflowing_gram():
     with pytest.raises(InvalidInputError, match="non-finite"):
