@@ -52,7 +52,7 @@ def _write(text: str, out) -> None:
 def _emit(pairs: dict, args) -> None:
     """Write a flat key->value record as csv rows or a json object."""
     if args.fmt == "json":
-        _write(json.dumps(pairs, indent=1) + "\n", args.out)
+        ex.write_json(pairs, args.out, end="\n")
     else:
         ex.write_table(pairs.items(), args.out)
 

@@ -3,10 +3,14 @@ deterministic parallel trials, config parsing, and a one-command verify suite.
 
 N is derived from the aspect ratio by N = ceil(n/beta) so n/N <= beta holds
 exactly.  Every trial draws from the substream keyed by (master seed,
-beta index, trial index).  Aggregation is a sequential reduce in fixed index
+beta index, trial index) the matrix ``spectrum.trial_matrix`` builds: a
+gaussian-iid trial draws an n x n bidiagonal chi factor in place of N x n
+normals, every other family its N rows.  A trial that raises becomes a
+``TrialFailure`` record.  Aggregation is a sequential reduce in fixed index
 order, and numpy's OpenBLAS is pinned to one thread while a sweep runs,
 which makes sweep output byte-identical regardless of worker count and BLAS
-thread count.
+thread count.  The result JSON is strict: a non-finite value is an error,
+never ``NaN`` in the file.
 """
 
 from __future__ import annotations
@@ -30,12 +34,18 @@ from . import rademacher as rad
 from . import smallball as sb
 from . import spectrum as sp
 from .blas import _single_threaded_blas
-from .errors import CalibrationUnavailableError, ConfigError, InvalidInputError, InvalidParameterError
+from .errors import (
+    CalibrationUnavailableError,
+    ConfigError,
+    InvalidInputError,
+    InvalidParameterError,
+    LminlabError,
+)
 from .streams import SeedRecord, check_seed
 
 # Version of the sweep result JSON, bumped whenever a change moves its
 # fields or its seeded values.
-RESULT_FORMAT_VERSION = 3
+RESULT_FORMAT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -105,6 +115,18 @@ class BetaSummary:
 
 
 @dataclass(frozen=True)
+class TrialFailure:
+    """A trial that raised: its grid position, the derived seed of its
+    substream, and the exception's type name and message."""
+
+    beta_index: int
+    trial: int
+    seed: int
+    error: str
+    message: str
+
+
+@dataclass(frozen=True)
 class SweepResult:
     config_seed: int
     rows: tuple
@@ -125,12 +147,48 @@ class SweepResult:
             "rows": [vars(r) for r in self.rows],
             "summaries": [vars(s) for s in self.summaries],
             "fit": None if self.fit is None else vars(self.fit),
-            "failures": list(self.failures),
+            "failures": [vars(f) for f in self.failures],
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
+        write_json(self.to_json_dict(), path)
+
+
+def write_json(obj, path=None, end: str = "") -> None:
+    """Write ``obj`` as JSON indented by one space, then ``end``, to the
+    file ``path``, or to stdout when ``path`` is None.  A NaN or infinite
+    float, which JSON cannot hold, raises ``LminlabError`` naming its key
+    before anything is written, never ``NaN`` or ``Infinity``."""
+    found = _nonfinite(obj)
+    if found is not None:
+        key, value = found
+        raise LminlabError(f"{key.lstrip('.')} is {value}, which JSON cannot hold")
+    if path is None:
+        json.dump(obj, sys.stdout, indent=1, allow_nan=False)
+        sys.stdout.write(end)
+        return
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1, allow_nan=False)
+        fh.write(end)
+
+
+def _nonfinite(obj):
+    """(key path, value) of the first non-finite float in ``obj``, with
+    paths such as ``.summaries[0].floor_value``, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else ("", obj)
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    else:
+        return None
+    for key, value in items:
+        found = _nonfinite(value)
+        if found is not None:
+            step = f"[{key}]" if isinstance(obj, (list, tuple)) else f".{key}"
+            return step + found[0], found[1]
+    return None
 
 
 def write_table(rows, path=None) -> None:
@@ -154,7 +212,7 @@ def _trial(cfg: ExperimentConfig, beta_index: int, trial_index: int):
     beta = cfg.beta_grid[beta_index]
     N = cfg.sample_size(beta)
     record = SeedRecord(cfg.seed, beta_index, trial_index)
-    m = sp.assemble(cfg.spec, N, record)
+    m = sp.trial_matrix(cfg.spec, N, record)
     res = sp.lambda_extremes(m, vectors=False)
     return TrialRow(
         family=cfg.spec.family,
@@ -185,8 +243,8 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
     """Execute the sweep: trials (parallelizable), per-beta aggregation,
     floor predictions, and an exponent fit when enough grid points allow.
 
-    A trial that raises is recorded in ``failures`` and excluded from
-    aggregation; the sweep continues.  Trials run on at most
+    A trial that raises is recorded in ``failures`` as a ``TrialFailure``
+    and excluded from aggregation; the sweep continues.  Trials run on at most
     ``min(threads, os.cpu_count())`` workers.  BLAS runs single-threaded for
     the duration of the call and gets its previous thread counts back on
     return.
@@ -200,14 +258,15 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
 def _run_sweep(cfg: ExperimentConfig, threads: int) -> SweepResult:
     tasks = [(b, t) for b in range(len(cfg.beta_grid)) for t in range(cfg.trials)]
     results: dict[tuple[int, int], TrialRow] = {}
-    failures: list[str] = []
+    failures: list[TrialFailure] = []
 
     def run_one(key):
         b, t = key
         try:
             return key, _trial(cfg, b, t), None
         except Exception as exc:  # noqa: BLE001 - per-trial isolation is the contract
-            return key, None, f"beta_index={b} trial={t}: {exc!r}"
+            seed = SeedRecord(cfg.seed, b, t).derived
+            return key, None, TrialFailure(b, t, seed, type(exc).__name__, str(exc))
 
     workers = min(threads, os.cpu_count() or 1)
     if workers == 1:

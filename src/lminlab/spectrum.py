@@ -1,6 +1,9 @@
 """Row-normalized sample matrices and their extreme singular values.
 
-The sample matrix stores rows X_i/sqrt(N).  Extremes are computed from the
+The sample matrix stores rows X_i/sqrt(N).  A sweep trial solves
+``trial_matrix``: for gaussian-iid that is an n x n bidiagonal chi factor
+whose Gram has the law of the N x n rows' Gram, and for every other family
+the rows themselves.  Extremes are computed from the
 n x n Gram matrix with a symmetric eigensolver: eigenvalues only for sweep
 trials, which report nothing else, and eigenpairs with a residual for
 ``lminlab spectrum`` and ``verify``.  An independent inverse-power path, an
@@ -109,6 +112,28 @@ def assemble(spec: DistributionSpec, N: int, seed: int | SeedRecord) -> SampleMa
     rows = sample_matrix(spec, N, record.generator())
     rows /= np.sqrt(N)  # in place: one N x n buffer per trial, not two
     return SampleMatrix(N=N, n=spec.n, values=rows, seed=record)
+
+
+def trial_matrix(spec: DistributionSpec, N: int, record: SeedRecord) -> SampleMatrix:
+    """The matrix a sweep trial solves: its Gram has the law of the Gram of
+    ``assemble(spec, N, record)``.
+
+    For gaussian-iid with N >= n this is the n x n lower-bidiagonal chi
+    model of the N x n Gaussian matrix (Silverstein 1985; Dumitriu and
+    Edelman 2002): from the record's substream, n chi-squares with df N,
+    N-1, ..., N-n+1, whose roots form the diagonal, then n-1 chi-squares
+    with df n-1, ..., 1, whose roots form the subdiagonal, all divided by
+    sqrt(N).  It takes 2n-1 draws instead of N*n.  Every other family, and
+    N < n, returns ``assemble(spec, N, record)``.
+    """
+    n = spec.n
+    if spec.family != "gaussian-iid" or N < n:
+        return assemble(spec, N, record)
+    df = np.concatenate([float(N) - np.arange(n), np.arange(n - 1, 0, -1.0)])
+    chi = np.sqrt(record.generator().chisquare(df))
+    chi /= math.sqrt(N)
+    values = np.diag(chi[:n]) + np.diag(chi[n:], -1)
+    return SampleMatrix(N=n, n=n, values=values, seed=record)
 
 
 def gram(m: SampleMatrix) -> np.ndarray:

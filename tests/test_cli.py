@@ -1,6 +1,8 @@
 """CLI smoke tests through the argparse entry point."""
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lminlab import bounds as bd
 from lminlab import cli
 from lminlab import distributions as dist
 from lminlab import experiments as ex
@@ -572,3 +575,26 @@ def test_seed_outside_64_bits_exits_2(tmp_path, capsys, monkeypatch, argv, seed)
         assert rc == 2
         assert captured.err == f"error: seed must be in [0, 2^64), got {seed}\n" and captured.out == ""
         assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("command", ["sweep", "bounds"])
+def test_nonfinite_json_value_exits_2(tmp_path, capsys, monkeypatch, command):
+    """JSON has no NaN: the command names the key and exits 2 instead of
+    writing ``NaN``."""
+    real = bd.floor_regime
+    monkeypatch.setattr(bd, "floor_regime", lambda *a, **kw: dataclasses.replace(real(*a, **kw), floor=math.nan))
+    out = tmp_path / "out.json"
+    if command == "sweep":
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            "[distribution]\nfamily = gaussian-iid\nn = 4\n\n[sweep]\nbeta_grid = 0.5\ntrials = 2\nseed = 1\n\n"
+            f"[outputs]\nresult = {out}\n"
+        )
+        argv, key = ["sweep", "--config", str(cfg)], "summaries[0].floor_value"
+    else:
+        argv = ["bounds", "--regime", "tail", "--eta", "5", "--beta", "0.25", "--N", "100", "--format", "json"]
+        argv, key = [*argv, "--out", str(out)], "floor"
+    rc = cli.main(argv)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {key} is nan, which JSON cannot hold\n"
+    assert not out.exists() or out.read_text() == ""

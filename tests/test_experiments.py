@@ -21,6 +21,7 @@ from lminlab import bounds as bd
 from lminlab import distributions as dist
 from lminlab import experiments as ex
 from lminlab.errors import CalibrationUnavailableError, ConfigError, InvalidInputError, InvalidParameterError
+from lminlab.streams import SeedRecord
 
 CONFIG_TEXT = """\
 [distribution]
@@ -244,7 +245,7 @@ def test_result_json_summary_fields():
 def test_result_json_format_version():
     payload = ex.run_sweep(small_config(trials=2)).to_json_dict()
     assert list(payload) == ["format_version", "seed", "rows", "summaries", "fit", "failures"]
-    assert payload["format_version"] == 3
+    assert payload["format_version"] == 4
 
 
 def test_sweep_trials_compute_no_eigenvectors(monkeypatch):
@@ -258,6 +259,22 @@ def test_sweep_trials_compute_no_eigenvectors(monkeypatch):
     for spec in (dist.DistributionSpec("gaussian-iid", 12), dist.DistributionSpec("heavy-radial", 8, eta=5.0)):
         r = ex.run_sweep(small_config(spec=spec), threads=2)
         assert r.failures == () and len(r.rows) == 12
+
+
+def test_gaussian_sweep_trials_draw_no_rows(monkeypatch):
+    """A gaussian-iid trial draws its bidiagonal chi factor, never the N x n
+    rows, while a heavy-radial trial still samples its rows."""
+
+    def sample_matrix(*args, **kwargs):
+        raise RuntimeError("a sweep trial drew rows")
+
+    monkeypatch.setattr(dist, "sample_matrix", sample_matrix)
+    monkeypatch.setattr(ex.sp, "sample_matrix", sample_matrix)
+    r = ex.run_sweep(small_config(), threads=2)
+    assert r.failures == () and len(r.rows) == 12
+    r = ex.run_sweep(small_config(spec=dist.DistributionSpec("heavy-radial", 8, eta=5.0)), threads=2)
+    assert r.rows == () and len(r.failures) == 12
+    assert {(f.error, f.message) for f in r.failures} == {("RuntimeError", "a sweep trial drew rows")}
 
 
 def test_run_sweep_csv_headers(tmp_path):
@@ -435,8 +452,24 @@ def test_run_sweep_isolates_trial_failures(monkeypatch):
     monkeypatch.setattr(ex, "_trial", flaky)
     cfg = small_config()
     r = ex.run_sweep(cfg)
-    assert len(r.failures) == 1
-    assert "beta_index=0 trial=2" in r.failures[0]
+    assert r.failures == (
+        ex.TrialFailure(
+            beta_index=0,
+            trial=2,
+            seed=SeedRecord(cfg.seed, 0, 2).derived,
+            error="RuntimeError",
+            message="synthetic numerical failure",
+        ),
+    )
+    assert r.to_json_dict()["failures"] == [
+        {
+            "beta_index": 0,
+            "trial": 2,
+            "seed": SeedRecord(cfg.seed, 0, 2).derived,
+            "error": "RuntimeError",
+            "message": "synthetic numerical failure",
+        }
+    ]
     assert len(r.rows) == len(cfg.beta_grid) * cfg.trials - 1
     assert len(r.summaries) == len(cfg.beta_grid)  # aggregation continues
 

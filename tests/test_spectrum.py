@@ -274,3 +274,50 @@ def test_assemble_validates_n():
     spec = dist.DistributionSpec("gaussian-iid", 3)
     with pytest.raises(InvalidParameterError):
         sp.assemble(spec, 0, seed=1)
+
+
+_LAW_TRIALS = 20000
+
+
+@pytest.mark.parametrize("n, N", [(5, 12), (8, 8), (3, 40)])
+def test_trial_matrix_has_the_law_of_the_gaussian_rows(n, N):
+    """Seeded bidiagonal factors against directly drawn N x n Gaussian rows:
+    the extreme eigenvalues of their Grams agree in law (two-sample KS), and
+    W = N * Gram has the Wishart moments E tr W = nN and
+    E tr W^2 = nN(N+n+1)."""
+    from scipy import stats
+
+    spec = dist.DistributionSpec("gaussian-iid", n)
+    factors = np.stack([sp.trial_matrix(spec, N, SeedRecord(17, 0, t)).values for t in range(_LAW_TRIALS)])
+    rows = np.random.default_rng(18).standard_normal((_LAW_TRIALS, N, n)) / math.sqrt(N)
+    w_factor = N * np.matmul(factors.transpose(0, 2, 1), factors)
+    w_rows = N * np.matmul(rows.transpose(0, 2, 1), rows)
+    eig_factor = np.linalg.eigvalsh(w_factor)
+    eig_rows = np.linalg.eigvalsh(w_rows)
+    for k in (0, -1):
+        assert stats.ks_2samp(eig_factor[:, k], eig_rows[:, k]).pvalue > 1e-3
+    tr = np.trace(w_factor, axis1=1, axis2=2)
+    tr_sq = np.einsum("tij,tji->t", w_factor, w_factor)
+    for sample, exact in ((tr, n * N), (tr_sq, n * N * (N + n + 1))):
+        assert abs(sample.mean() - exact) <= 4 * sample.std(ddof=1) / math.sqrt(_LAW_TRIALS)
+
+
+def test_trial_matrix_structure_and_fallback():
+    spec = dist.DistributionSpec("gaussian-iid", 6)
+    record = SeedRecord(4, 1, 2)
+    m = sp.trial_matrix(spec, 50, record)
+    assert (m.N, m.n, m.values.shape, m.seed) == (6, 6, (6, 6), record)
+    assert np.all(np.isfinite(m.values)) and np.all(np.diag(m.values) > 0)
+    assert np.all(np.diag(m.values, -1) > 0)
+    assert np.array_equal(m.values, np.tril(np.triu(m.values, -1)))
+    assert np.array_equal(m.values, sp.trial_matrix(spec, 50, SeedRecord(4, 1, 2)).values)
+    assert not np.array_equal(m.values, sp.trial_matrix(spec, 50, SeedRecord(4, 1, 3)).values)
+    for spec, N in (
+        (dist.DistributionSpec("gaussian-iid", 6), 4),
+        (dist.DistributionSpec("heavy-radial", 6, eta=5.0), 50),
+        (dist.DistributionSpec("atomic-mixture", 6, mixture_p=0.3), 50),
+    ):
+        m = sp.trial_matrix(spec, N, record)
+        direct = sp.assemble(spec, N, record)
+        assert (m.N, m.n, m.seed) == (direct.N, direct.n, direct.seed)
+        assert m.values.tobytes() == direct.values.tobytes()
