@@ -201,6 +201,9 @@ def cmd_sweep(args) -> int:
         # leaves an earlier run's file as it was until the sweep succeeds
         open(path, "a").close()
     result = ex.run_sweep(cfg, threads=args.threads)
+    # a value the result JSON cannot hold fails the sweep before any output
+    # is written, so the three files never disagree
+    ex.require_finite(result.to_json_dict())
     if rows_path:
         result.rows_csv(rows_path)
         print(f"wrote {len(result.rows)} trial rows to {rows_path}")

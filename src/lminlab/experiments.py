@@ -5,12 +5,14 @@ N is derived from the aspect ratio by N = ceil(n/beta) so n/N <= beta holds
 exactly.  Every trial draws from the substream keyed by (master seed,
 beta index, trial index) the matrix ``spectrum.trial_matrix`` builds: a
 gaussian-iid trial draws an n x n bidiagonal chi factor in place of N x n
-normals, every other family its N rows.  A trial that raises becomes a
-``TrialFailure`` record.  Aggregation is a sequential reduce in fixed index
-order, and numpy's OpenBLAS is pinned to one thread while a sweep runs,
-which makes sweep output byte-identical regardless of worker count and BLAS
-thread count.  The result JSON is strict: a non-finite value is an error,
-never ``NaN`` in the file.
+normals, every other family its N rows.  Gaussian-iid trials are solved in
+fixed-size blocks by ``spectrum.bidiagonal_extremes`` on the calling
+thread; every other family's trials are solved one by one on the worker
+pool.  A trial that raises becomes a ``TrialFailure`` record.  Aggregation
+is a sequential reduce in fixed index order, and numpy's OpenBLAS is pinned
+to one thread while a sweep runs, which makes sweep output byte-identical
+regardless of worker count, block size and BLAS thread count.  The result
+JSON is strict: a non-finite value is an error, never ``NaN`` in the file.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .streams import SeedRecord, check_seed
 
 # Version of the sweep result JSON, bumped whenever a change moves its
 # fields or its seeded values.
-RESULT_FORMAT_VERSION = 4
+RESULT_FORMAT_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -159,10 +161,7 @@ def write_json(obj, path=None, end: str = "") -> None:
     file ``path``, or to stdout when ``path`` is None.  A NaN or infinite
     float, which JSON cannot hold, raises ``LminlabError`` naming its key
     before anything is written, never ``NaN`` or ``Infinity``."""
-    found = _nonfinite(obj)
-    if found is not None:
-        key, value = found
-        raise LminlabError(f"{key.lstrip('.')} is {value}, which JSON cannot hold")
+    require_finite(obj)
     if path is None:
         json.dump(obj, sys.stdout, indent=1, allow_nan=False)
         sys.stdout.write(end)
@@ -170,6 +169,15 @@ def write_json(obj, path=None, end: str = "") -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=1, allow_nan=False)
         fh.write(end)
+
+
+def require_finite(obj) -> None:
+    """Raise ``LminlabError`` naming the key of the first NaN or infinite
+    float in ``obj``, a value JSON cannot hold."""
+    found = _nonfinite(obj)
+    if found is not None:
+        key, value = found
+        raise LminlabError(f"{key.lstrip('.')} is {value}, which JSON cannot hold")
 
 
 def _nonfinite(obj):
@@ -208,23 +216,78 @@ def _record_table(record_type, records) -> list:
     return [[f.name for f in fields(record_type)], *(vars(r).values() for r in records)]
 
 
-def _trial(cfg: ExperimentConfig, beta_index: int, trial_index: int):
-    beta = cfg.beta_grid[beta_index]
-    N = cfg.sample_size(beta)
-    record = SeedRecord(cfg.seed, beta_index, trial_index)
-    m = sp.trial_matrix(cfg.spec, N, record)
-    res = sp.lambda_extremes(m, vectors=False)
+def _row(cfg: ExperimentConfig, record: SeedRecord, lambda_min: float, lambda_max: float) -> TrialRow:
+    beta = cfg.beta_grid[record.beta_index]
     return TrialRow(
         family=cfg.spec.family,
         eta=cfg.spec.eta,
         n=cfg.spec.n,
-        N=N,
+        N=cfg.sample_size(beta),
         beta=beta,
-        trial=trial_index,
-        lambda_min=res.lambda_min,
-        lambda_max=res.lambda_max,
+        trial=record.trial_index,
+        lambda_min=lambda_min,
+        lambda_max=lambda_max,
         seed=record.derived,
     )
+
+
+def _failure(record: SeedRecord, exc: Exception) -> TrialFailure:
+    return TrialFailure(record.beta_index, record.trial_index, record.derived, type(exc).__name__, str(exc))
+
+
+def _trial(cfg: ExperimentConfig, beta_index: int, trial_index: int) -> TrialRow:
+    """One trial solved on its own: the pool's unit of work for every
+    family but gaussian-iid."""
+    record = SeedRecord(cfg.seed, beta_index, trial_index)
+    m = sp.trial_matrix(cfg.spec, cfg.sample_size(cfg.beta_grid[beta_index]), record)
+    res = sp.lambda_extremes(m, vectors=False)
+    return _row(cfg, record, res.lambda_min, res.lambda_max)
+
+
+# Gaussian-iid trials per ``spectrum.bidiagonal_extremes`` call; a trial's
+# values do not depend on the trials solved with it.
+_GAUSSIAN_BLOCK = 256
+
+
+def _gaussian_outcomes(cfg: ExperimentConfig) -> list:
+    """((beta_index, trial), row, failure) of every trial of a gaussian-iid
+    sweep, with one of row and failure None.  Each trial draws its chi
+    factor from its own substream; the drawn trials of a beta are solved in
+    blocks of ``_GAUSSIAN_BLOCK`` on the calling thread.  A trial whose draw
+    raises fails alone."""
+    outcomes = []
+    for b, beta in enumerate(cfg.beta_grid):
+        N = cfg.sample_size(beta)
+        for start in range(0, cfg.trials, _GAUSSIAN_BLOCK):
+            drawn = []
+            for t in range(start, min(start + _GAUSSIAN_BLOCK, cfg.trials)):
+                record = SeedRecord(cfg.seed, b, t)
+                try:
+                    drawn.append((record, sp.chi_factor(cfg.spec.n, N, record)))
+                except Exception as exc:  # noqa: BLE001 - per-trial isolation is the contract
+                    outcomes.append(((b, t), None, _failure(record, exc)))
+            if drawn:
+                outcomes += _solve_gaussian(cfg, drawn)
+    return outcomes
+
+
+def _solve_gaussian(cfg: ExperimentConfig, drawn: list) -> list:
+    """Outcomes, as ``_gaussian_outcomes`` gives them, of the drawn
+    (record, (diag, sub)) trials solved as one batch; when the batch
+    raises, each trial is solved alone, so only those that raise fail."""
+    try:
+        lmins, lmaxs = sp.bidiagonal_extremes(
+            np.array([diag for _, (diag, _) in drawn]), np.array([sub for _, (_, sub) in drawn])
+        )
+    except Exception as exc:  # noqa: BLE001 - per-trial isolation is the contract
+        if len(drawn) > 1:
+            return [outcome for trial in drawn for outcome in _solve_gaussian(cfg, [trial])]
+        record = drawn[0][0]
+        return [((record.beta_index, record.trial_index), None, _failure(record, exc))]
+    return [
+        ((record.beta_index, record.trial_index), _row(cfg, record, float(lo), float(hi)), None)
+        for (record, _), lo, hi in zip(drawn, lmins, lmaxs)
+    ]
 
 
 def _regime_for_spec(spec: dist.DistributionSpec) -> tuple[str, float]:
@@ -244,10 +307,12 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
     floor predictions, and an exponent fit when enough grid points allow.
 
     A trial that raises is recorded in ``failures`` as a ``TrialFailure``
-    and excluded from aggregation; the sweep continues.  Trials run on at most
-    ``min(threads, os.cpu_count())`` workers.  BLAS runs single-threaded for
-    the duration of the call and gets its previous thread counts back on
-    return.
+    and excluded from aggregation; the sweep continues.  Gaussian-iid
+    trials are solved in blocks of ``_GAUSSIAN_BLOCK`` on the calling
+    thread, whatever ``threads`` is; the trials of every other family run
+    on at most ``min(threads, os.cpu_count())`` workers.  BLAS runs
+    single-threaded for the duration of the call and gets its previous
+    thread counts back on return.
     """
     if threads < 1:
         raise InvalidParameterError(f"threads must be >= 1, got {threads}")
@@ -255,32 +320,34 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
         return _run_sweep(cfg, threads)
 
 
-def _run_sweep(cfg: ExperimentConfig, threads: int) -> SweepResult:
-    tasks = [(b, t) for b in range(len(cfg.beta_grid)) for t in range(cfg.trials)]
-    results: dict[tuple[int, int], TrialRow] = {}
-    failures: list[TrialFailure] = []
+def _pooled_outcomes(cfg: ExperimentConfig, threads: int) -> list:
+    """((beta_index, trial), row, failure) of every trial, each run by
+    ``_trial`` on a pool of at most ``min(threads, os.cpu_count())``
+    workers, with one of row and failure None."""
 
     def run_one(key):
         b, t = key
         try:
             return key, _trial(cfg, b, t), None
         except Exception as exc:  # noqa: BLE001 - per-trial isolation is the contract
-            seed = SeedRecord(cfg.seed, b, t).derived
-            return key, None, TrialFailure(b, t, seed, type(exc).__name__, str(exc))
+            return key, None, _failure(SeedRecord(cfg.seed, b, t), exc)
 
+    tasks = [(b, t) for b in range(len(cfg.beta_grid)) for t in range(cfg.trials)]
     workers = min(threads, os.cpu_count() or 1)
     if workers == 1:
-        outcomes = map(run_one, tasks)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_one, tasks))
-    for key, row, err in outcomes:
-        if err is None:
-            results[key] = row
-        else:
-            failures.append(err)
+        return list(map(run_one, tasks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_one, tasks))
 
-    rows = tuple(results[k] for k in sorted(results))
+
+def _run_sweep(cfg: ExperimentConfig, threads: int) -> SweepResult:
+    if cfg.spec.family == "gaussian-iid":
+        outcomes = _gaussian_outcomes(cfg)
+    else:
+        outcomes = _pooled_outcomes(cfg, threads)
+    outcomes.sort(key=lambda outcome: outcome[0])
+    rows = tuple(row for _, row, _ in outcomes if row is not None)
+    failures = [failure for _, _, failure in outcomes if failure is not None]
     regime, eta_eff = _regime_for_spec(cfg.spec)
 
     summaries = []

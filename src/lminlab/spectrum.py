@@ -3,14 +3,17 @@
 The sample matrix stores rows X_i/sqrt(N).  A sweep trial solves
 ``trial_matrix``: for gaussian-iid that is an n x n bidiagonal chi factor
 whose Gram has the law of the N x n rows' Gram, and for every other family
-the rows themselves.  Extremes are computed from the
-n x n Gram matrix with a symmetric eigensolver: eigenvalues only for sweep
-trials, which report nothing else, and eigenpairs with a residual for
-``lminlab spectrum`` and ``verify``.  An independent inverse-power path, an
-LU inverse plus shifted solves on numpy alone, cross-validates the smallest
-eigenvalue.  At desk scale (n <= ~500) the Gram route is the fast one and
-its squaring loss is irrelevant above ~1e-6.  A Gram with a non-finite
-entry is an input error on every path.
+the rows themselves.  Gaussian-iid sweep trials are solved in batches by
+``bidiagonal_extremes``: Sturm-count bisection on the tridiagonal Gram of
+each factor, elementwise numpy with no BLAS or LAPACK, and no dense matrix.
+Every other extreme is computed from the n x n Gram matrix with a symmetric
+eigensolver: eigenvalues only for sweep trials, which report nothing else,
+and eigenpairs with a residual for ``lminlab spectrum`` and ``verify``.  An
+independent inverse-power path, an LU inverse plus shifted solves on numpy
+alone, cross-validates the smallest eigenvalue.  At desk scale (n <= ~500)
+the Gram route is the fast one and its squaring loss is irrelevant above
+~1e-6.  A Gram or a factor with a non-finite entry is an input error on
+every path.
 """
 
 from __future__ import annotations
@@ -129,11 +132,18 @@ def trial_matrix(spec: DistributionSpec, N: int, record: SeedRecord) -> SampleMa
     n = spec.n
     if spec.family != "gaussian-iid" or N < n:
         return assemble(spec, N, record)
+    diag, sub = chi_factor(n, N, record)
+    return SampleMatrix(N=n, n=n, values=np.diag(diag) + np.diag(sub, -1), seed=record)
+
+
+def chi_factor(n: int, N: int, record: SeedRecord) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal (n) and subdiagonal (n-1) of the bidiagonal chi factor
+    ``trial_matrix`` builds for a gaussian-iid trial with N >= n, drawn
+    from the record's substream in the order that docstring gives."""
     df = np.concatenate([float(N) - np.arange(n), np.arange(n - 1, 0, -1.0)])
     chi = np.sqrt(record.generator().chisquare(df))
     chi /= math.sqrt(N)
-    values = np.diag(chi[:n]) + np.diag(chi[n:], -1)
-    return SampleMatrix(N=n, n=n, values=values, seed=record)
+    return chi[:n], chi[n:]
 
 
 def gram(m: SampleMatrix) -> np.ndarray:
@@ -179,6 +189,113 @@ def lambda_extremes(m: SampleMatrix, vectors: bool = True) -> SpectralResult:
         res = max(res, float(np.linalg.norm(g @ v - vals[idx] * v)))
     scale = lam_max if lam_max > 0 else 1.0
     return SpectralResult(lambda_min=lam_min, lambda_max=lam_max, method="sym-eig", residual=res / scale)
+
+
+_EPS = np.finfo(float).eps
+
+
+def bidiagonal_extremes(diag, sub) -> tuple[np.ndarray, np.ndarray]:
+    """Extreme singular values of a batch of n x n lower-bidiagonal factors.
+
+    Row t of ``diag`` (T x n) is the diagonal a of factor B_t and row t of
+    ``sub`` (T x (n-1)) its subdiagonal b.  Returns ``(lambda_min,
+    lambda_max)``, two arrays of length T.  Each end is found by bisection
+    on Sturm counts of the tridiagonal B^T B, whose diagonal is
+    a_i^2 + b_i^2 and whose squared off-diagonal is (b_i a_{i+1})^2.  Both
+    ends of all T factors advance together in one vector, one pivot at a
+    time, from Gershgorin's interval clamped at 0.  Every element stops on
+    its own tolerance, eps times its Gershgorin bound, and all arithmetic is
+    elementwise, so an element's bits do not depend on the rest of the
+    batch.  No BLAS or LAPACK runs.  Each factor is first scaled by a power
+    of two, which is exact, so that its squares neither overflow nor
+    underflow.  The squared extremes are within a few eps * lambda_max^2 of
+    the exact ones.  An empty last dimension of ``diag`` or mismatched
+    shapes raise ``InvalidParameterError``; a non-finite factor raises
+    ``InvalidInputError``.
+    """
+    a = np.asarray(diag, dtype=float)
+    b = np.asarray(sub, dtype=float)
+    if a.ndim != 2 or a.shape[1] < 1 or b.shape != (a.shape[0], a.shape[1] - 1):
+        raise InvalidParameterError(
+            f"need diag of shape (T, n) with n >= 1 and sub of shape (T, n - 1), got {a.shape} and {b.shape}"
+        )
+    count, n = a.shape
+    top = np.maximum(np.abs(a).max(axis=1, initial=0.0), np.abs(b).max(axis=1, initial=0.0))
+    bad = ~np.isfinite(top)
+    if bad.any():
+        raise InvalidInputError(f"bidiagonal factor {int(np.flatnonzero(bad)[0])} has non-finite entries")
+    # scale each factor by a power of two, exactly, so that its entries are
+    # below 1 and their squares neither overflow nor lose bits to underflow
+    shift = np.frexp(top)[1]
+    d, e2, lo, hi = _gram_tridiagonal(np.ldexp(a.T, -shift, order="C"), np.ldexp(b.T, -shift, order="C"))
+    # row 0 seeks lambda_min^2, the first x with 1 eigenvalue below it, and
+    # row 1 lambda_max^2, the first x with all n below it
+    lo, hi = np.stack([lo, lo]), np.stack([hi, hi])
+    tol = _EPS * hi
+    wanted = np.array([[1], [n]])
+    pivots = np.empty((n, 2, count))
+    active = hi - lo > tol
+    while active.any():
+        x = lo + 0.5 * (hi - lo)
+        below = _sturm_counts(d, e2, x, pivots) < wanted
+        stuck = (x == lo) | (x == hi)
+        lo = np.where(active & below, x, lo)
+        hi = np.where(active & ~below, x, hi)
+        active &= (hi - lo > tol) & ~stuck
+    lam_min, lam_max = np.ldexp(np.sqrt(lo + 0.5 * (hi - lo)), shift)
+    return lam_min, lam_max
+
+
+def _gram_tridiagonal(a, b):
+    """Diagonal d (n x T) and squared off-diagonal e2 ((n-1) x T) of the
+    Grams B^T B of the factors whose diagonals are the columns of ``a`` and
+    subdiagonals the columns of ``b``, with each Gram's Gershgorin interval
+    [lo, hi], clamped at 0 and widened by 2 n eps of its bound for the
+    rounding of d and e2."""
+    n = a.shape[0]
+    d = a * a
+    d[:-1] += b * b
+    e2 = b * a[1:]
+    e2 *= e2
+    e = np.sqrt(e2)
+    radius = np.zeros_like(d)
+    radius[:-1] += e
+    radius[1:] += e
+    upper = (d + radius).max(axis=0)
+    slack = 2.0 * n * _EPS * upper
+    return d, e2, np.maximum((d - radius).min(axis=0) - slack, 0.0), upper + slack
+
+
+def _sturm_counts(d, e2, x, pivots) -> np.ndarray:
+    """Number of eigenvalues below x[k, j] of the tridiagonal with diagonal
+    d[:, j] and squared off-diagonal e2[:, j], from the signs of the LDL^T
+    pivots of T - x I, written into ``pivots`` (n x 2 x T).
+
+    The pivots run in IEEE arithmetic: a zero or tiny pivot makes the next
+    one -inf and the one after restart.  Only a zero pivot above a zero
+    off-diagonal gives 0/0; those elements are counted again with LAPACK's
+    rule (dstebz), which moves a pivot smaller than pivmin to -pivmin.
+    """
+    np.subtract(d[:, None, :], x, out=pivots)
+    step = np.empty_like(x)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for e2_row, previous, row in zip(e2, pivots, pivots[1:]):
+            np.divide(e2_row, previous, out=step)
+            np.subtract(row, step, out=row)
+    counts = np.count_nonzero(pivots < 0, axis=0)
+    redo = np.nonzero(np.isnan(pivots[-1]))
+    if redo[0].size:
+        cols, xs = redo[1], x[redo]
+        pivmin = np.finfo(float).tiny * np.maximum(1.0, e2[:, cols].max(axis=0, initial=0.0))
+        q = d[0, cols] - xs
+        safe = np.zeros(cols.size, dtype=counts.dtype)
+        for i in range(len(d)):
+            if i:
+                q = d[i, cols] - xs - e2[i - 1, cols] / q
+            q = np.where(np.abs(q) < pivmin, -pivmin, q)
+            safe += q < 0
+        counts[redo] = safe
+    return counts
 
 
 _POWER_TOL = 1e-13

@@ -18,8 +18,7 @@ from lminlab import rademacher as rad
 from lminlab import smallball as sb
 
 
-def small_config():
-    spec = dist.DistributionSpec("gaussian-iid", 12)
+def small_config(spec=dist.DistributionSpec("gaussian-iid", 12)):
     return ex.ExperimentConfig(spec=spec, beta_grid=(0.5, 0.25), trials=6, seed=5)
 
 
@@ -41,6 +40,7 @@ def test_run_sweep_pins_blas_and_restores(monkeypatch, blas_two_threads):
     getters = blas_two_threads
     seen = []
     real_trial = ex._trial
+    real_factor = ex.sp.chi_factor
 
     def observed(cfg, beta_index, trial_index):
         seen.extend(get() for get in getters)
@@ -48,11 +48,20 @@ def test_run_sweep_pins_blas_and_restores(monkeypatch, blas_two_threads):
             raise RuntimeError("synthetic numerical failure")
         return real_trial(cfg, beta_index, trial_index)
 
+    def observed_factor(n, N, record):
+        seen.extend(get() for get in getters)
+        if record.trial_index == 1:
+            raise RuntimeError("synthetic numerical failure")
+        return real_factor(n, N, record)
+
     monkeypatch.setattr(ex, "_trial", observed)
-    r = ex.run_sweep(small_config(), threads=2)
-    assert len(r.failures) == 2
-    assert seen and set(seen) == {1}
-    assert [get() for get in getters] == [2] * len(getters)
+    monkeypatch.setattr(ex.sp, "chi_factor", observed_factor)  # a gaussian-iid trial's own step
+    for spec in (dist.DistributionSpec("gaussian-iid", 12), dist.DistributionSpec("heavy-radial", 8, eta=5.0)):
+        seen.clear()
+        r = ex.run_sweep(small_config(spec), threads=2)
+        assert len(r.failures) == 2
+        assert seen and set(seen) == {1}
+        assert [get() for get in getters] == [2] * len(getters)
 
     def broken(*args, **kwargs):
         raise RuntimeError("synthetic aggregation failure")

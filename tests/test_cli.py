@@ -598,3 +598,26 @@ def test_nonfinite_json_value_exits_2(tmp_path, capsys, monkeypatch, command):
     assert rc == 2
     assert capsys.readouterr().err == f"error: {key} is nan, which JSON cannot hold\n"
     assert not out.exists() or out.read_text() == ""
+
+
+def test_nonfinite_sweep_result_writes_no_output(tmp_path, capsys, monkeypatch):
+    """A sweep whose result JSON would hold a NaN exits 2 before writing
+    any output: earlier rows, summary and result files keep their bytes."""
+    real = bd.floor_regime
+    monkeypatch.setattr(bd, "floor_regime", lambda *a, **kw: dataclasses.replace(real(*a, **kw), floor=math.nan))
+    outputs = {name: tmp_path / name for name in ("rows.csv", "summary.csv", "result.json")}
+    for name, path in outputs.items():
+        path.write_bytes(f"earlier {name}\n".encode())
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(
+        "[distribution]\nfamily = uniform-cube\nn = 3\n\n[sweep]\nbeta_grid = 0.5\ntrials = 2\nseed = 1\n\n"
+        "[outputs]\n" + "".join(f"{key} = {outputs[name]}\n" for key, name in
+                                (("rows", "rows.csv"), ("summary", "summary.csv"), ("result", "result.json")))
+    )
+    rc = cli.main(["sweep", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: summaries[0].floor_value is nan, which JSON cannot hold\n"
+    assert captured.out == ""
+    for name, path in outputs.items():
+        assert path.read_bytes() == f"earlier {name}\n".encode()

@@ -104,7 +104,7 @@ def test_run_sweep_clamps_workers_to_cpu_count(tmp_path, monkeypatch):
         return real_pool(max_workers=max_workers)
 
     monkeypatch.setattr(ex, "ThreadPoolExecutor", recording_pool)
-    cfg = small_config()
+    cfg = small_config(spec=dist.DistributionSpec("heavy-radial", 8, eta=5.0))  # gaussian-iid starts no pool
     paths = [tmp_path / "serial.csv", tmp_path / "clamped.csv", tmp_path / "unknown.csv"]
     ex.run_sweep(cfg, threads=1).rows_csv(paths[0])
     monkeypatch.setattr(ex.os, "cpu_count", lambda: 2)
@@ -245,7 +245,7 @@ def test_result_json_summary_fields():
 def test_result_json_format_version():
     payload = ex.run_sweep(small_config(trials=2)).to_json_dict()
     assert list(payload) == ["format_version", "seed", "rows", "summaries", "fit", "failures"]
-    assert payload["format_version"] == 4
+    assert payload["format_version"] == 5
 
 
 def test_sweep_trials_compute_no_eigenvectors(monkeypatch):
@@ -275,6 +275,55 @@ def test_gaussian_sweep_trials_draw_no_rows(monkeypatch):
     r = ex.run_sweep(small_config(spec=dist.DistributionSpec("heavy-radial", 8, eta=5.0)), threads=2)
     assert r.rows == () and len(r.failures) == 12
     assert {(f.error, f.message) for f in r.failures} == {("RuntimeError", "a sweep trial drew rows")}
+
+
+def test_gaussian_sweep_forms_no_gram(monkeypatch):
+    """Gaussian-iid trials are solved on their bidiagonal factors: no Gram,
+    no LAPACK eigensolver and no thread pool."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a gaussian-iid trial formed a Gram or called LAPACK")
+
+    for target, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (ex.sp, "gram"), (ex, "ThreadPoolExecutor")):
+        monkeypatch.setattr(target, name, forbidden)
+    r = ex.run_sweep(small_config(), threads=8)
+    assert r.failures == () and len(r.rows) == 12
+
+
+def test_gaussian_rows_do_not_depend_on_blocks_or_threads(monkeypatch):
+    """A gaussian-iid row holds the same Python floats for every block size
+    and --threads, and they are ``bidiagonal_extremes`` of the diagonals of
+    the trial's ``trial_matrix``."""
+    cfg = small_config(beta_grid=(0.5, 0.25, 1.0), trials=11)
+    reference = ex.run_sweep(cfg)
+    for block, threads in ((1, 1), (4, 2), (11, 8), (256, 1)):
+        monkeypatch.setattr(ex, "_GAUSSIAN_BLOCK", block)
+        assert ex.run_sweep(cfg, threads=threads) == reference
+    for row in reference.rows:
+        assert type(row.lambda_min) is float and type(row.lambda_max) is float
+        b = cfg.beta_grid.index(row.beta)
+        m = ex.sp.trial_matrix(cfg.spec, row.N, SeedRecord(cfg.seed, b, row.trial))
+        lmin, lmax = ex.sp.bidiagonal_extremes(np.diag(m.values)[None], np.diag(m.values, -1)[None])
+        assert (row.lambda_min, row.lambda_max) == (lmin[0], lmax[0])
+
+
+def test_gaussian_nonfinite_factor_fails_alone(monkeypatch):
+    """A trial whose factor is not finite fails with ``InvalidInputError``;
+    the other trials of its beta keep their values, and no NaN reaches a row."""
+    reference = ex.run_sweep(small_config())
+    real_factor = ex.sp.chi_factor
+
+    def corrupt(n, N, record):
+        diag, sub = real_factor(n, N, record)
+        if (record.beta_index, record.trial_index) == (1, 3):
+            diag[2] = math.nan
+        return diag, sub
+
+    monkeypatch.setattr(ex.sp, "chi_factor", corrupt)
+    r = ex.run_sweep(small_config())
+    assert [(f.beta_index, f.trial, f.error) for f in r.failures] == [(1, 3, "InvalidInputError")]
+    assert r.rows == tuple(row for row in reference.rows if (row.beta, row.trial) != (0.25, 3))
+    assert all(math.isfinite(row.lambda_min) and math.isfinite(row.lambda_max) for row in r.rows)
 
 
 def test_run_sweep_csv_headers(tmp_path):
@@ -443,35 +492,43 @@ def test_coverage_after_anchor_calibration():
 
 def test_run_sweep_isolates_trial_failures(monkeypatch):
     real_trial = ex._trial
+    real_factor = ex.sp.chi_factor
 
     def flaky(cfg, beta_index, trial_index):
         if (beta_index, trial_index) == (0, 2):
             raise RuntimeError("synthetic numerical failure")
         return real_trial(cfg, beta_index, trial_index)
 
+    def flaky_factor(n, N, record):
+        if (record.beta_index, record.trial_index) == (0, 2):
+            raise RuntimeError("synthetic numerical failure")
+        return real_factor(n, N, record)
+
     monkeypatch.setattr(ex, "_trial", flaky)
-    cfg = small_config()
-    r = ex.run_sweep(cfg)
-    assert r.failures == (
-        ex.TrialFailure(
-            beta_index=0,
-            trial=2,
-            seed=SeedRecord(cfg.seed, 0, 2).derived,
-            error="RuntimeError",
-            message="synthetic numerical failure",
-        ),
-    )
-    assert r.to_json_dict()["failures"] == [
-        {
-            "beta_index": 0,
-            "trial": 2,
-            "seed": SeedRecord(cfg.seed, 0, 2).derived,
-            "error": "RuntimeError",
-            "message": "synthetic numerical failure",
-        }
-    ]
-    assert len(r.rows) == len(cfg.beta_grid) * cfg.trials - 1
-    assert len(r.summaries) == len(cfg.beta_grid)  # aggregation continues
+    monkeypatch.setattr(ex.sp, "chi_factor", flaky_factor)  # a gaussian-iid trial's own step
+    for spec in (dist.DistributionSpec("gaussian-iid", 12), dist.DistributionSpec("heavy-radial", 8, eta=5.0)):
+        cfg = small_config(spec=spec)
+        r = ex.run_sweep(cfg)
+        assert r.failures == (
+            ex.TrialFailure(
+                beta_index=0,
+                trial=2,
+                seed=SeedRecord(cfg.seed, 0, 2).derived,
+                error="RuntimeError",
+                message="synthetic numerical failure",
+            ),
+        )
+        assert r.to_json_dict()["failures"] == [
+            {
+                "beta_index": 0,
+                "trial": 2,
+                "seed": SeedRecord(cfg.seed, 0, 2).derived,
+                "error": "RuntimeError",
+                "message": "synthetic numerical failure",
+            }
+        ]
+        assert len(r.rows) == len(cfg.beta_grid) * cfg.trials - 1
+        assert len(r.summaries) == len(cfg.beta_grid)  # aggregation continues
 
 
 def test_verify_suite_passes_and_reports():

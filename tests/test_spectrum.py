@@ -321,3 +321,87 @@ def test_trial_matrix_structure_and_fallback():
         direct = sp.assemble(spec, N, record)
         assert (m.N, m.n, m.seed) == (direct.N, direct.n, direct.seed)
         assert m.values.tobytes() == direct.values.tobytes()
+
+
+def _diagonals(spec, N, record):
+    m = sp.trial_matrix(spec, N, record)
+    return m, np.diag(m.values), np.diag(m.values, -1)
+
+
+@pytest.mark.parametrize("n, N", [(100, 1600), (40, 40), (12, 24), (2, 5), (1, 1)])
+def test_bidiagonal_extremes_match_svd(n, N):
+    """Over 300 seeded chi factors, both squared extremes are within
+    4 * n * eps * sigma_max^2 of the singular values numpy's SVD gives."""
+    spec = dist.DistributionSpec("gaussian-iid", n)
+    factors = [_diagonals(spec, N, SeedRecord(29, 0, t)) for t in range(300)]
+    lmin, lmax = sp.bidiagonal_extremes(np.array([f[1] for f in factors]), np.array([f[2] for f in factors]))
+    eps = np.finfo(float).eps
+    for (m, _, _), lo, hi in zip(factors, lmin, lmax):
+        sigma = np.linalg.svd(m.values, compute_uv=False)
+        bound = 4 * n * eps * sigma[0] ** 2
+        assert abs(lo**2 - sigma[-1] ** 2) <= bound
+        assert abs(hi**2 - sigma[0] ** 2) <= bound
+
+
+def test_bidiagonal_extremes_do_not_depend_on_the_batch():
+    """A factor's extremes are the same bits solved alone, in any batch and
+    in any position of it."""
+    rng = np.random.default_rng(3)
+    diag, sub = map(np.array, zip(*(sp.chi_factor(30, 30 + 10 * t, SeedRecord(5, 0, t)) for t in range(40))))
+    diag[7] *= 1e-3  # a factor on another scale in the same batch
+    lmin, lmax = sp.bidiagonal_extremes(diag, sub)
+    for t in range(40):
+        alone = sp.bidiagonal_extremes(diag[t : t + 1], sub[t : t + 1])
+        assert (alone[0][0], alone[1][0]) == (lmin[t], lmax[t])
+    order = rng.permutation(40)[:17]
+    part = sp.bidiagonal_extremes(diag[order], sub[order])
+    assert np.array_equal(part[0], lmin[order]) and np.array_equal(part[1], lmax[order])
+
+
+@pytest.mark.parametrize(
+    "diag, sub",
+    [
+        ([1.0, 2.0, 3.0], [0.0, 0.0]),  # diagonal: zero pivots above zero off-diagonals
+        ([1.0, 1.0, 1.0, 2.0], [0.0, 0.0, 0.0]),
+        ([0.0, 0.0, 0.0], [0.0, 0.0]),
+        ([0.0, 1.0, 0.0], [1.0, 0.0]),  # rank one
+        ([1.0, 1.0], [1.0]),
+        ([3.0], []),
+        ([1e-160, 2e-160, 3e-160], [1e-160, 4e-160]),  # squares would underflow
+        ([1e200, 2e200, 3e200], [1e200, 4e200]),  # squares would overflow
+    ],
+)
+def test_bidiagonal_extremes_structured_factors(diag, sub):
+    n = len(diag)
+    b = np.diag(diag) + np.diag(sub, -1)
+    sigma = np.linalg.svd(b, compute_uv=False)
+    lmin, lmax = sp.bidiagonal_extremes([diag], np.reshape(sub, (1, n - 1)))
+    if sigma[0] == 0:
+        assert (lmin[0], lmax[0]) == (0.0, 0.0)
+        return
+    # on the scale sigma_max = 1, where the squares neither overflow nor underflow
+    bound = 4 * n * np.finfo(float).eps
+    assert abs((lmin[0] / sigma[0]) ** 2 - (sigma[-1] / sigma[0]) ** 2) <= bound
+    assert abs((lmax[0] / sigma[0]) ** 2 - 1.0) <= bound
+
+
+def test_bidiagonal_extremes_validates():
+    lmin, lmax = sp.bidiagonal_extremes(np.zeros((0, 3)), np.zeros((0, 2)))
+    assert lmin.shape == lmax.shape == (0,)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidInputError, match="bidiagonal factor 1 has non-finite entries"):
+            sp.bidiagonal_extremes([[1.0, 1.0], [1.0, bad]], [[1.0], [1.0]])
+        with pytest.raises(InvalidInputError, match="bidiagonal factor 0 has non-finite entries"):
+            sp.bidiagonal_extremes([[1.0, 1.0]], [[bad]])
+    for diag, sub in (([1.0, 1.0], [1.0]), ([[1.0, 1.0]], [[1.0, 1.0]]), (np.zeros((2, 0)), np.zeros((2, 0)))):
+        with pytest.raises(InvalidParameterError):
+            sp.bidiagonal_extremes(diag, sub)
+
+
+def test_chi_factor_is_the_trial_matrix():
+    spec = dist.DistributionSpec("gaussian-iid", 7)
+    record = SeedRecord(8, 2, 3)
+    m, diag, sub = _diagonals(spec, 20, record)
+    a, b = sp.chi_factor(7, 20, record)
+    assert a.tobytes() == diag.tobytes() and b.tobytes() == sub.tobytes()
+    assert m.values.tobytes() == (np.diag(a) + np.diag(b, -1)).tobytes()

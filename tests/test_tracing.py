@@ -38,8 +38,10 @@ def test_traced_smallball_and_sweep(monkeypatch):
         smallball=smallball,
         spectrum=spectrum,
     )
+    # a family whose trials run one by one through experiments._trial and
+    # spectrum.lambda_extremes; gaussian-iid trials are solved in batches
     cfg = experiments.ExperimentConfig(
-        spec=distributions.DistributionSpec("gaussian-iid", 4), beta_grid=(0.5,), trials=2, seed=3
+        spec=distributions.DistributionSpec("uniform-cube", 4), beta_grid=(0.5,), trials=2, seed=3
     )
     x = distributions.sample_matrix(distributions.DistributionSpec("gaussian-iid", 3), 200, np.random.default_rng(1))
     untraced = smallball.small_ball_curve(x, (0.1, 0.4), budget=24, rng=2)
