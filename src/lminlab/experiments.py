@@ -47,7 +47,7 @@ from .streams import SeedRecord, check_seed
 
 # Version of the sweep result JSON, bumped whenever a change moves its
 # fields or its seeded values.
-RESULT_FORMAT_VERSION = 5
+RESULT_FORMAT_VERSION = 6
 
 
 @dataclass(frozen=True)

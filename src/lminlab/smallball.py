@@ -15,9 +15,12 @@ perturbations of decaying scale.  Ties break to the lowest pool index.
 
 Memory: every statistic over a direction set (tail fractions, means of
 |<X,t>| and |<X,t>|^p) is accumulated by walking the samples in row blocks
-of at most ``_BLOCK_ELEMENTS`` projections, so no samples x directions
-matrix is built.  The blocks and the refinement steps run with BLAS pinned
-to one thread, so seeded output does not depend on the BLAS thread count.
+of at most ``_BLOCK_ELEMENTS`` projections, written into buffers reused
+from block to block, so no samples x directions matrix is built.  A curve
+projects each direction once: its base pool, then only the refinement
+candidates, then the pool of its moment ratios.  The blocks and the
+refinement steps run with BLAS pinned to one thread, so seeded output does
+not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -45,17 +48,6 @@ def _as_samples(samples) -> np.ndarray:
     if samples.ndim != 2 or samples.shape[0] == 0:
         raise InvalidInputError(f"samples must be a nonempty 2-D array, got shape {samples.shape}")
     return samples
-
-
-def q_direction(samples: np.ndarray, t: np.ndarray, u: float) -> float:
-    """Empirical fraction of draws with |<X_i, t>| >= u for a unit vector t."""
-    samples = _as_samples(samples)
-    t = np.asarray(t, dtype=float)
-    if abs(np.linalg.norm(t) - 1.0) > 1e-10:
-        raise InvalidParameterError(f"direction must be unit norm, got ||t|| = {np.linalg.norm(t)}")
-    if u < 0:
-        raise InvalidParameterError(f"u must be >= 0, got {u}")
-    return float((np.abs(samples @ t) >= u).mean())
 
 
 def _base_pool(n: int, budget: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
@@ -127,26 +119,38 @@ def _marginals(samples: np.ndarray, dirs: np.ndarray, us=(), p: float | None = N
     |<X_i, d>| and |<X_i, d>|^p, for every direction d (a row of ``dirs``).
 
     The samples are walked in row blocks under the single-thread BLAS pin.
-    The tails are counted in integers.  The sums add the rows one at a time
-    in sample order, as a mean over axis 0 of the whole projection matrix
-    does, so the means equal that one bit for bit.
+    The tails are counted in integers.  Each statistic has one buffer whose
+    row 0 holds its running sum and whose next rows take a block's values,
+    so one sum over axis 0 adds the rows one at a time in sample order, as a
+    mean over axis 0 of the whole projection matrix does, and the means
+    equal that one bit for bit.  A single direction is the exception: numpy
+    sums one column pairwise, so its means agree with the dense one only to
+    round-off.  The p-th powers come from ``np.power``, the ufunc that
+    ``proj ** p`` runs for a float p > 1.
     """
     N, D = samples.shape[0], dirs.shape[0]
     counts = np.zeros((len(us), D), dtype=np.int64)
-    l1 = lp = np.zeros(D)
+    sums = powers = None
     with blas._single_threaded_blas:
         for rows in blas.row_blocks(N, D, _BLOCK_ELEMENTS):
-            proj = np.abs(samples[rows] @ dirs.T)
+            end = rows.stop - rows.start + 1
+            if sums is None:  # the first block is the longest
+                sums = np.zeros((end, D))
+                powers = None if p is None else np.zeros_like(sums)
+            proj = sums[1:end]
+            np.matmul(samples[rows], dirs.T, out=proj)
+            np.abs(proj, out=proj)
             for i, u in enumerate(us):
                 # int32 sums of booleans run about twice as fast as int64
                 # ones, and a block has far fewer than 2^31 rows
                 counts[i] += (proj >= u).sum(axis=0, dtype=np.int32)
             if p is not None:
-                l1 = np.concatenate([l1[None], proj]).sum(axis=0)
-                lp = np.concatenate([lp[None], proj**p]).sum(axis=0)
+                np.power(proj, p, out=powers[1:end])
+                sums[0] = sums[:end].sum(axis=0)
+                powers[0] = powers[:end].sum(axis=0)
     if p is None:
         return _Marginals(counts / N, None, None)
-    return _Marginals(counts / N, l1 / N, lp / N)
+    return _Marginals(counts / N, sums[0] / N, powers[0] / N)
 
 
 def _tail_chain(samples: np.ndarray, fracs: np.ndarray, pool: np.ndarray, u: float) -> list:
@@ -162,7 +166,8 @@ def q_inf_search(
     budget: int,
     rng: np.random.Generator | int | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Upper estimate of Q(u): minimum of q_direction over the search set."""
+    """Upper estimate of Q(u): the least empirical tail fraction
+    P_N{|<X, t>| >= u} over the search set of directions t."""
     samples = _as_samples(samples)
     rng = as_generator(rng)
     pool, n_refine = _base_pool(samples.shape[1], budget, rng)
@@ -294,7 +299,9 @@ def small_ball_curve(
 
     One direction pool serves every u: base pool first, then refinement
     rounds against each grid point append their candidates, and the final
-    minima are taken over the full pool at every u.  Minimizing over a common
+    minima are taken over the full pool at every u.  Each direction is
+    projected once: the base pool's tails seed the refinement and are kept,
+    and only the candidates are projected after it.  Minimizing over a common
     set makes the upper estimates nonincreasing in u by construction.  The
     lower side is the Paley-Zygmund bound from ``moment_ratios`` of the same
     samples, drawing its directions from the same generator afterwards.
@@ -308,14 +315,15 @@ def small_ball_curve(
     rng = as_generator(rng)
 
     pool, n_refine = _base_pool(samples.shape[1], budget, rng)
-    dirs = [pool]
+    all_dirs = pool
+    tails = _marginals(samples, pool, u_grid).tail
     per_u = n_refine // len(u_grid)
     if per_u > 0:
-        for u, fracs in zip(u_grid, _marginals(samples, pool, u_grid).tail):
-            dirs.append(np.array(_refine([_tail_chain(samples, fracs, pool, u)], per_u, rng)))
-    all_dirs = np.vstack(dirs)
-
-    tails = _marginals(samples, all_dirs, u_grid).tail
+        cands = np.vstack(
+            [_refine([_tail_chain(samples, fracs, pool, u)], per_u, rng) for u, fracs in zip(u_grid, tails)]
+        )
+        all_dirs = np.vstack([pool, cands])
+        tails = np.hstack([tails, _marginals(samples, cands, u_grid).tail])
     indices = np.argmin(tails, axis=1)
     upper = tails[np.arange(len(u_grid)), indices]
 

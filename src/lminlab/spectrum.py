@@ -32,6 +32,7 @@ from .streams import SeedRecord
 _MAGIC = b"SMAT"
 _VERSION = 1
 _HEADER = struct.Struct("<IQQQQQ")  # after the magic: version, N, n, seed fields
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -163,13 +164,16 @@ def gram(m: SampleMatrix) -> np.ndarray:
 def lambda_extremes(m: SampleMatrix, vectors: bool = True) -> SpectralResult:
     """Extreme singular values via the symmetric eigenproblem of the Gram.
 
-    For N < n the matrix is rank deficient and lambda_min is reported as
-    exactly 0.  With ``vectors`` the solver is ``eigh`` and the residual is
-    max ||G v - mu v|| over the two extreme eigenpairs, scaled by lambda_max
-    (machine-level for a healthy solve).  Without it the solver is
-    ``eigvalsh``, which skips the eigenvectors, and the residual is NaN: a
-    sweep trial reports only the extremes.  The two solvers' extremes agree
-    to round-off but not bit for bit.
+    lambda_min is reported as exactly 0 when the Gram is singular to
+    round-off: for N < n, and when its smallest eigenvalue is at most
+    n * eps * max|G|, the rule of ``lambda_min_power``.  A Gram's largest
+    entry sits on its diagonal, so that costs O(n).  With ``vectors`` the
+    solver is ``eigh`` and the residual is max ||G v - mu v|| over the two
+    extreme eigenpairs, scaled by lambda_max (machine-level for a healthy
+    solve).  Without it the solver is ``eigvalsh``, which skips the
+    eigenvectors, and the residual is NaN: a sweep trial reports only the
+    extremes.  The two solvers' extremes agree to round-off but not bit for
+    bit.
     """
     g = gram(m)
     if vectors:
@@ -177,10 +181,10 @@ def lambda_extremes(m: SampleMatrix, vectors: bool = True) -> SpectralResult:
     else:
         vals = np.linalg.eigvalsh(g)
     lam_max = float(np.sqrt(max(vals[-1], 0.0)))
-    if m.N < m.n:
+    if m.N < m.n or vals[0] <= m.n * _EPS * g.diagonal().max():
         lam_min = 0.0
     else:
-        lam_min = float(np.sqrt(max(vals[0], 0.0)))
+        lam_min = float(np.sqrt(vals[0]))
     if not vectors:
         return SpectralResult(lambda_min=lam_min, lambda_max=lam_max, method="sym-eig", residual=math.nan)
     res = 0.0
@@ -189,9 +193,6 @@ def lambda_extremes(m: SampleMatrix, vectors: bool = True) -> SpectralResult:
         res = max(res, float(np.linalg.norm(g @ v - vals[idx] * v)))
     scale = lam_max if lam_max > 0 else 1.0
     return SpectralResult(lambda_min=lam_min, lambda_max=lam_max, method="sym-eig", residual=res / scale)
-
-
-_EPS = np.finfo(float).eps
 
 
 def bidiagonal_extremes(diag, sub) -> tuple[np.ndarray, np.ndarray]:
@@ -357,7 +358,7 @@ def lambda_min_power(m: SampleMatrix) -> float:
                 break
             v = w / norm_w
             est = float(v @ g @ v)
-    level = n * np.finfo(float).eps * float(np.abs(g).max())
+    level = n * _EPS * float(np.abs(g).max())
     if est <= level:
         raise InvalidInputError(
             f"gram is numerically singular: smallest eigenvalue estimate {est:.3g} <= n * eps * max|G| = {level:.3g}"

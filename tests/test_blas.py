@@ -136,7 +136,9 @@ def test_row_blocks_cover_rows_in_order(rows, row_elements, block_elements, mult
 
 
 def _estimators():
-    x = np.random.default_rng(3).standard_normal((3000, 3))
+    # enough rows that every direction set of the curve spans several
+    # blocks, the 6 refinement candidates (10 922 rows a block) included
+    x = np.random.default_rng(3).standard_normal((12000, 3))
     return {
         "smallball": lambda: sb.small_ball_curve(x, (0.1, 0.4), budget=64, rng=1),
         "rademacher": lambda: rad.rademacher_linear(x, draws=700, rng=1, method="mc"),

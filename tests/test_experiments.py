@@ -245,7 +245,7 @@ def test_result_json_summary_fields():
 def test_result_json_format_version():
     payload = ex.run_sweep(small_config(trials=2)).to_json_dict()
     assert list(payload) == ["format_version", "seed", "rows", "summaries", "fit", "failures"]
-    assert payload["format_version"] == 5
+    assert payload["format_version"] == 6
 
 
 def test_sweep_trials_compute_no_eigenvectors(monkeypatch):

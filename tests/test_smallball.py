@@ -23,9 +23,14 @@ def gauss_samples():
     return dist.sample_matrix(spec, 200000, np.random.default_rng(31))
 
 
+def _tail(samples, t, u):
+    """Empirical fraction of draws with |<X_i, t>| >= u."""
+    return sb._marginals(samples, t[None], [u]).tail[0, 0]
+
+
 def test_q_direction_u_zero_is_one(gauss_samples):
     t = np.eye(5)[0]
-    assert sb.q_direction(gauss_samples, t, 0.0) == 1.0
+    assert _tail(gauss_samples, t, 0.0) == 1.0
 
 
 def test_q_direction_matches_quadrature(gauss_samples):
@@ -33,7 +38,7 @@ def test_q_direction_matches_quadrature(gauss_samples):
     t = np.eye(5)[0]
     m = len(gauss_samples)
     for u in (0.2, 1.0):
-        emp = sb.q_direction(gauss_samples, t, u)
+        emp = _tail(gauss_samples, t, u)
         th = dist.theoretical_tail(spec, u)
         assert abs(emp - th) <= 3 * math.sqrt(th * (1 - th) / m)
 
@@ -41,22 +46,14 @@ def test_q_direction_matches_quadrature(gauss_samples):
 def test_q_direction_atomic_mixture():
     spec = dist.DistributionSpec("atomic-mixture", 4, mixture_p=0.5)
     x = dist.sample_matrix(spec, 100000, np.random.default_rng(9))
-    q = sb.q_direction(x, np.eye(4)[0], 0.01)
+    q = _tail(x, np.eye(4)[0], 0.01)
     # the atom at zero removes exactly p of the mass as u -> 0+
     assert q == pytest.approx(0.5, abs=0.02)
 
 
-def test_q_direction_validates():
-    x = np.ones((10, 2))
-    with pytest.raises(InvalidParameterError):
-        sb.q_direction(x, np.array([1.0, 1.0]), 0.1)  # not unit norm
-    with pytest.raises(InvalidParameterError):
-        sb.q_direction(x, np.array([1.0, 0.0]), -0.1)
-
-
 def test_search_matches_coordinate_on_rotation_invariant(gauss_samples):
     # direction-independence: the search minimum equals the e1 value within noise
-    q_e1 = sb.q_direction(gauss_samples, np.eye(5)[0], 0.3)
+    q_e1 = _tail(gauss_samples, np.eye(5)[0], 0.3)
     q_min, t = sb.q_inf_search(gauss_samples, 0.3, budget=128, rng=4)
     se = math.sqrt(q_e1 * (1 - q_e1) / len(gauss_samples))
     assert q_min <= q_e1 + 1e-12
@@ -81,13 +78,13 @@ def test_search_budget_one_is_single_random_direction(gauss_samples):
     g = rng.standard_normal((1, 5))
     d = g[0] / np.linalg.norm(g[0])
     assert np.allclose(t, d)
-    assert q == sb.q_direction(gauss_samples, d, 0.4)
+    assert q == _tail(gauss_samples, d, 0.4)
 
 
 def test_search_dominates_coordinate_direction(gauss_samples):
     # budget large enough to include e1 in the pool
     q, _ = sb.q_inf_search(gauss_samples, 0.5, budget=64, rng=8)
-    assert q <= sb.q_direction(gauss_samples, np.eye(5)[0], 0.5) + 1e-15
+    assert q <= _tail(gauss_samples, np.eye(5)[0], 0.5) + 1e-15
 
 
 def test_search_monotone_in_u_for_fixed_pool(gauss_samples):
@@ -194,7 +191,7 @@ def test_pz_validity_on_empirical_data(gauss_samples):
     m = len(gauss_samples)
     for u in (0.1, 0.3, 0.5):
         pz = sb.paley_zygmund_lower(r, u).value
-        q = sb.q_direction(gauss_samples, r.alpha_dir, u)
+        q = _tail(gauss_samples, r.alpha_dir, u)
         assert pz <= q + 3 * math.sqrt(max(q * (1 - q), 1e-12) / m)
 
 
@@ -318,6 +315,22 @@ def test_streamed_estimators_reproduce_dense_outputs(family, kw, n, N, upper, lo
     for p, seed, expected in zip((2.0, 3.0), (10, 11), ratios):
         r = sb.moment_ratios(x, p=p, budget=60, rng=seed)
         assert _hex([r.alpha, r.beta_p]) + _hex(r.alpha_dir) + _hex(r.beta_dir) == expected
+
+
+def test_curve_projects_each_direction_once(monkeypatch):
+    # n = 8 and budget 256: a 221-direction base pool, 4 x 8 refinement
+    # candidates, and the 221-direction pool of the moment ratios
+    x = dist.sample_matrix(dist.DistributionSpec("heavy-radial", 8, eta=3.0), 2000, np.random.default_rng(5))
+    projected = []
+    marginals = sb._marginals
+
+    def recording(samples, dirs, *args, **kwargs):
+        projected.append(dirs.shape[0])
+        return marginals(samples, dirs, *args, **kwargs)
+
+    monkeypatch.setattr(sb, "_marginals", recording)
+    sb.small_ball_curve(x, (0.1, 0.2, 0.4, 0.8), budget=256, rng=6)
+    assert projected == [221, 32, 221]
 
 
 def test_curve_memory_bounded_by_block():

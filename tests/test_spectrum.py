@@ -212,6 +212,25 @@ def test_eigenvalue_only_solve_rank_deficient_and_clamped():
     assert sp.lambda_extremes(_matrix(np.zeros((3, 2))), vectors=False).lambda_min == 0.0
 
 
+def test_gram_singular_to_round_off_reports_exact_zero():
+    # an atomic-mixture row is 0 with probability p, so at n = 5, N = 8 about
+    # a fifth of the trials have fewer than 5 nonzero rows and a singular
+    # Gram, whose smallest eigenvalue comes out as round-off of either sign
+    spec = dist.DistributionSpec("atomic-mixture", 5, mixture_p=0.3)
+    deficient = 0
+    for t in range(3000):
+        m = sp.assemble(spec, 8, SeedRecord(11, 0, t))
+        full_rank = np.count_nonzero(np.any(m.values != 0.0, axis=1)) >= 5
+        deficient += not full_rank
+        g = sp.gram(m)
+        for vectors, smallest in ((True, np.linalg.eigh(g)[0][0]), (False, np.linalg.eigvalsh(g)[0])):
+            lambda_min = sp.lambda_extremes(m, vectors=vectors).lambda_min
+            # a full-rank trial keeps the plain root of its smallest eigenvalue
+            assert lambda_min == (math.sqrt(smallest) if full_rank else 0.0)
+            assert lambda_min > 0.0 or not full_rank
+    assert deficient > 300
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("column", ["zero", "duplicate"])
 def test_spectrum_power_singular_gram_exits_2(tmp_path, capsys, column):
