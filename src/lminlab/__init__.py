@@ -13,6 +13,8 @@ Subpackages:
 - ``experiments``: beta-sweep harness, exponent fits, config files, CSV
   tables, verification suite
 - ``cli``: the ``lminlab`` command line
+- ``blas``: OpenBLAS thread pinning and fixed row blocks for seeded output
+- ``streams``: per-trial splitmix64 seed substreams
 """
 
 __version__ = "0.1.0"

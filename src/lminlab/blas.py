@@ -3,8 +3,8 @@
 A threaded BLAS reduces in an order that depends on its thread count, so a
 product can change in the last ulp with ``OPENBLAS_NUM_THREADS``.  Code whose
 seeded output must not depend on that count runs its BLAS calls inside
-``_single_threaded_blas``, which pins the OpenBLAS numpy calls (scipy's own
-OpenBLAS is left alone; no lab command loads scipy).  The sweep, the
+``_single_threaded_blas``, which pins the OpenBLAS numpy calls (lminlab
+runs on numpy alone and never loads scipy's own OpenBLAS).  The sweep, the
 estimators in ``smallball`` and ``rademacher``, ``spectrum.lambda_min_power``
 and ``lminlab spectrum`` hold it.  The estimators also walk their samples in
 fixed row blocks (``row_blocks``), so their memory is bounded by the block
@@ -57,8 +57,9 @@ class _SingleThreadedBlas:
     are process state, so overlapping holders share one pin: the first to
     enter saves the count, the last to leave restores it, also when the body
     raises.  Without a control symbol (a non-OpenBLAS build) it does
-    nothing.  scipy's OpenBLAS keeps its thread count, so no pinned code may
-    call BLAS through scipy.
+    nothing.  Another OpenBLAS in the process, such as the one a caller's
+    scipy loads, keeps its thread count; lminlab never calls BLAS through
+    one.
     """
 
     def __init__(self):

@@ -190,6 +190,8 @@ def cmd_sweep(args) -> int:
     if not args.config:
         raise ConfigError("sweep requires --config")
     cfg = ex.parse_config(args.config)
+    if args.threads < 1:  # before the output files below are created
+        raise InvalidParameterError(f"threads must be >= 1, got {args.threads}")
     rows_path = cfg.outputs.rows or (args.out and args.out + ".rows.csv")
     summary_path = cfg.outputs.summary or (args.out and args.out + ".summary.csv")
     json_path = cfg.outputs.result or (args.out and args.out + ".json")

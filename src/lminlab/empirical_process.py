@@ -74,32 +74,73 @@ def second_moment_identity(values) -> tuple[float, float, float]:
 
 _VC_MAX_POINTS = 25
 _VC_MAX_DIM = 3
+_SEPARATION_TOL = 1e-12  # relative to the largest squared difference
+
+
+def _min_norm_point(points: np.ndarray, tol: float) -> np.ndarray:
+    """Point of least norm in conv(points), by Wolfe's algorithm (1976).
+
+    A major cycle adds the point that minimizes <x, p> to the corral (the
+    affinely independent support of x); minor cycles move x to the affine
+    min-norm point of the corral and, while some of its weights are <= 0,
+    step back to the hull and drop the point whose weight reaches 0 first.
+    Stops once |x|^2 <= tol (x is the origin up to ``tol``), or no point
+    improves |x|^2 - <x, p> by more than ``tol``, or round-off stalls the
+    descent.
+    """
+    corral = [int(np.argmin(np.einsum("ij,ij->i", points, points)))]
+    weights = np.ones(1)
+    x = points[corral[0]]
+    while x @ x > tol:
+        k = int(np.argmin(points @ x))
+        if x @ x - points[k] @ x <= tol:
+            break
+        corral.append(k)
+        weights = np.append(weights, 0.0)
+        while True:
+            # affine min-norm weights: min |mu P|^2 subject to sum(mu) = 1
+            m = len(corral)
+            kkt = np.ones((m + 1, m + 1))
+            kkt[:m, :m] = points[corral] @ points[corral].T
+            kkt[m, m] = 0.0
+            mu = np.linalg.lstsq(kkt, np.eye(m + 1)[m], rcond=None)[0][:m]
+            if np.all(mu > 0):
+                weights = mu
+                break
+            # step from weights towards mu until the first weight reaches 0,
+            # and drop that point (one still at weight 0 allows no step)
+            blocking = np.flatnonzero(mu <= 0)
+            w = weights[blocking]
+            ratio = np.divide(w, w - mu[blocking], out=np.zeros_like(w), where=w > 0)
+            weights = weights + ratio.min() * (mu - weights)
+            weights[blocking[np.argmin(ratio)]] = 0.0
+            keep = weights > 0
+            corral = [c for c, kept in zip(corral, keep) if kept]
+            weights = weights[keep]
+        new = weights @ points[corral]
+        if new @ new >= x @ x:
+            break
+        x = new
+    return x
 
 
 def _halfspace_separable(inside: np.ndarray, outside: np.ndarray) -> bool:
-    """Exact strict linear separability via an LP feasibility problem.
+    """Strict linear separability by the min-norm point of a difference set.
 
-    Scale invariance turns strict separation into margin-1 feasibility:
-    w.x + b >= 1 on one side, <= -1 on the other.
+    Two finite sets are strictly separable by a hyperplane exactly when
+    their hulls are disjoint, that is when the origin is not in
+    conv{a - b : a in inside, b in outside}.  The min-norm point of that
+    hull (Wolfe) decides it: separable when its squared norm exceeds
+    ``_SEPARATION_TOL`` times the largest squared difference.  A coincident
+    inside/outside pair puts the origin among the differences, so it is
+    never separable; an empty side always is.
     """
     if inside.size == 0 or outside.size == 0:
         return True  # a far-away halfspace realizes the empty/full dichotomy
-    from scipy.optimize import linprog  # loaded on first use, off lminlab's import path
-
-    dim = inside.shape[1]
-    # variables: (w_1..w_dim, b); constraints as A_ub z <= b_ub
-    a_in = -np.hstack([inside, np.ones((len(inside), 1))])
-    a_out = np.hstack([outside, np.ones((len(outside), 1))])
-    A = np.vstack([a_in, a_out])
-    b = -np.ones(len(A))
-    res = linprog(
-        c=np.zeros(dim + 1),
-        A_ub=A,
-        b_ub=b,
-        bounds=[(None, None)] * (dim + 1),
-        method="highs",
-    )
-    return res.status == 0
+    diffs = (inside[:, None, :] - outside[None, :, :]).reshape(-1, inside.shape[1])
+    tol = _SEPARATION_TOL * float(np.einsum("ij,ij->i", diffs, diffs).max())
+    x = _min_norm_point(diffs, tol)
+    return bool(x @ x > tol)
 
 
 def _abs_threshold_realizable(inside_mags: np.ndarray, outside_mags: np.ndarray) -> bool:
@@ -159,13 +200,18 @@ def _is_shattered(points: np.ndarray, klass: str) -> bool:
 def vc_bruteforce(points, klass: str = "halfspaces") -> int:
     """Largest subset size shattered by the class, by dichotomy enumeration.
 
-    ``klass`` is "halfspaces" (exact LP separability checks, dim <= 3) or
-    "abs-threshold" ({x : |<t, x>| > u}; exact in 1-D, direction-net based in
-    dim 2-3 where the result is a lower estimate).  Capped at 25 points.
+    ``klass`` is "halfspaces" (dim <= 3; a dichotomy is realizable when the
+    min-norm point of conv{a - b : a in, b out} is not the origin, found by
+    Wolfe's algorithm) or "abs-threshold" ({x : |<t, x>| > u}; exact in 1-D,
+    direction-net based in dim 2-3 where the result is a lower estimate).
+    Capped at 25 points; a NaN or infinite coordinate is an
+    ``InvalidInputError``.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise InvalidInputError("points must be a nonempty 2-D array")
+    if not np.all(np.isfinite(pts)):
+        raise InvalidInputError("points must be finite")
     m, dim = pts.shape
     if klass not in ("halfspaces", "abs-threshold"):
         raise InvalidParameterError(f"unknown class {klass!r}")

@@ -13,9 +13,10 @@ The Monte Carlo path draws its sign vectors in blocks of at most
 ``_BLOCK_ELEMENTS`` signs, with BLAS pinned to one thread, so its memory does
 not grow with draws x N and its output does not depend on the BLAS thread
 count.  Every block's signs are written into one float buffer: a fresh block
-array each time would be returned to the OS and faulted back in per block.  Each block has an even number of rows: the generator makes integers
-in [0, 2) from 32-bit halves of its 64-bit outputs and drops an unused half
-at the end of a call, so even blocks leave it in the state one call for all
+array each time would be returned to the OS and faulted back in per block.
+Each block has an even number of rows: the generator makes integers in
+[0, 2) from 32-bit halves of its 64-bit outputs and drops an unused half at
+the end of a call, so even blocks leave it in the state one call for all
 draws would.
 """
 

@@ -217,6 +217,16 @@ def test_sweep_rejects_duplicate_betas(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_sweep_rejects_nonpositive_threads_before_creating_outputs(tmp_path, capsys, threads):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[distribution]\nfamily = gaussian-iid\nn = 4\n\n[sweep]\nbeta_grid = 0.5\ntrials = 2\nseed = 1\n")
+    rc = cli.main(["sweep", "--config", str(cfg), "--threads", threads, "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: threads must be >= 1, got {threads}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -11,7 +11,7 @@ from tail_constants import radial_tail_constant
 
 from lminlab import distributions as dist
 from lminlab import empirical_process as ep
-from lminlab.errors import BudgetExceededError, InvalidParameterError
+from lminlab.errors import BudgetExceededError, InvalidInputError, InvalidParameterError
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +122,69 @@ def test_vc_budget_guard():
         ep.vc_bruteforce(np.zeros((26, 2)), "halfspaces")
     with pytest.raises(BudgetExceededError):
         ep.vc_bruteforce(np.zeros((5, 4)), "halfspaces")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("klass", ["halfspaces", "abs-threshold"])
+def test_vc_rejects_nonfinite_points(klass, bad):
+    with pytest.raises(InvalidInputError, match="finite"):
+        ep.vc_bruteforce(np.array([[0.5], [bad], [1.3]]), klass)
+
+
+def _linprog_separable(dichotomies) -> np.ndarray:
+    """Reference verdicts from one scipy LP over all dichotomies.
+
+    Dichotomy k owns variables (w_k, b_k, s_k) and the rows
+    y_i (w_k . x_i + b_k) >= 1 - s_k, s_k >= 0; the blocks share nothing, so
+    minimizing sum s_k minimizes each s_k.  A strictly separable dichotomy
+    reaches s_k = 0 (scale w); otherwise a point of both hulls forces
+    s_k >= 1.
+    """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    blocks, cost, bounds = [], [], []
+    for inside, outside in dichotomies:
+        x = np.vstack([inside, outside])
+        y = np.r_[np.ones(len(inside)), -np.ones(len(outside))]
+        blocks.append(np.hstack([-y[:, None] * np.hstack([x, np.ones((len(x), 1))]), -np.ones((len(x), 1))]))
+        cost += [0.0] * (x.shape[1] + 1) + [1.0]
+        bounds += [(None, None)] * (x.shape[1] + 1) + [(0, None)]
+    a_ub = sparse.block_diag(blocks, format="csr")
+    res = linprog(cost, A_ub=a_ub, b_ub=-np.ones(a_ub.shape[0]), bounds=bounds, method="highs")
+    assert res.status == 0
+    slack = res.x[np.cumsum([block.shape[1] for block in blocks]) - 1]
+    assert np.all((slack < 1e-6) | (slack > 1 - 1e-6))
+    return slack < 0.5
+
+
+def test_halfspace_separable_matches_linprog():
+    """The min-norm-point test agrees with an LP on 3000 seeded dichotomies
+    in dim 1-3 of 2-8 points, 30% of the point sets rounded to one decimal
+    so that ties and touching hulls occur."""
+    rng = np.random.default_rng(17)
+    dichotomies = []
+    for _ in range(3000):
+        m = int(rng.integers(2, 9))
+        pts = rng.standard_normal((m, int(rng.integers(1, 4))))
+        if rng.random() < 0.3:
+            pts = np.round(pts, 1)
+        inside = rng.permutation(m) < rng.integers(1, m)
+        dichotomies.append((pts[inside], pts[~inside]))
+    expected = _linprog_separable(dichotomies)
+    got = np.array([ep._halfspace_separable(inside, outside) for inside, outside in dichotomies])
+    assert 0.2 < expected.mean() < 0.9
+    np.testing.assert_array_equal(got, expected)
+
+
+def test_halfspace_separable_edge_cases():
+    pts = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+    assert ep._halfspace_separable(pts[:2], np.empty((0, 2)))
+    assert ep._halfspace_separable(np.empty((0, 2)), pts)
+    assert not ep._halfspace_separable(pts[:2], pts[[2]])  # the midpoint touches
+    assert ep._halfspace_separable(pts[:2], pts[[3]])
+    assert not ep._halfspace_separable(pts[[3]], pts[[3]])  # a coincident pair
+    assert not ep._halfspace_separable(np.zeros((1, 2)), np.zeros((2, 2)))  # all differences 0
 
 
 # ---------------------------------------------------------------------------

@@ -184,12 +184,14 @@ def test_cli_sweep_never_imports_scipy(tmp_path, distribution):
 
 
 def test_verify_never_imports_scipy(tmp_path):
-    """``verify``, ``spectrum --power`` and the heavy-radial tail run on numpy
-    alone; only ``vc_bruteforce`` loads scipy."""
+    """``verify``, ``spectrum --power``, the heavy-radial tail and
+    ``vc_bruteforce`` on both classes run on numpy alone."""
     code = (
         "import sys\n"
+        "import numpy as np\n"
         "from lminlab import cli\n"
         "from lminlab import distributions as dist\n"
+        "from lminlab import empirical_process as ep\n"
         "assert 'scipy' not in sys.modules, 'import'\n"
         "assert cli.main(['verify', '--budget', '10']) == 0\n"
         "assert 'scipy' not in sys.modules, 'verify'\n"
@@ -198,6 +200,9 @@ def test_verify_never_imports_scipy(tmp_path):
         "assert 'scipy' not in sys.modules, 'spectrum --power'\n"
         "tail = dist.theoretical_tail(dist.DistributionSpec('heavy-radial', 8, eta=5.0), 0.5)\n"
         "assert 0.0 < tail < 1.0 and 'scipy' not in sys.modules, 'heavy-radial tail'\n"
+        "assert ep.vc_bruteforce(np.random.default_rng(3).standard_normal((5, 2)), 'halfspaces') == 3\n"
+        "assert ep.vc_bruteforce(np.array([[0.5], [-1.3], [2.1]]), 'abs-threshold') == 1\n"
+        "assert 'scipy' not in sys.modules, 'vc_bruteforce'\n"
     )
     proc = _run_fresh_python(code, tmp_path)
     assert proc.returncode == 0, proc.stderr
