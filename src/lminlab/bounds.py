@@ -1,9 +1,10 @@
 """Predicted floors on lambda_min and their failure probabilities.
 
 Every theorem-shaped floor is evaluated with explicit, overridable constants
-(all default to 1; the underlying results only prove existence).  Floors that
-come out <= 0 are reported as-is with a "vacuous" flag -- only probabilities
-clamp to [0, 1].
+(all default to 1; the underlying results only prove existence).  Every
+floor follows one rule: a floor beyond float range is refused, its failure
+probability is clamped to [0, 1], and a floor that comes out <= 0 is
+reported as-is with a "vacuous" flag after any other flag.
 
 Regimes over the tail surplus eta (aspect ratio beta = n/N):
 
@@ -63,9 +64,7 @@ class CovarianceBand:
     B: float
 
     def __post_init__(self):
-        for name, value in (("a", self.a), ("A", self.A), ("B", self.B)):
-            if not math.isfinite(value):
-                raise InvalidParameterError(f"{name} must be finite, got {value}")
+        _require_finite(a=self.a, A=self.A, B=self.B)
         if not (0 < self.a <= self.A):
             raise InvalidParameterError(f"need 0 < a <= A, got a={self.a}, A={self.A}")
         if self.B < 1:
@@ -83,10 +82,6 @@ class BoundPrediction:
     precondition_ok: bool
     precondition_detail: str
     flags: tuple = ()
-
-
-def _clamp01(x: float) -> float:
-    return min(1.0, max(0.0, x))
 
 
 def _require_finite(**values: float) -> None:
@@ -113,12 +108,31 @@ def _power(x: float, p: float) -> float:
         return math.inf
 
 
-def _representable(floor: float, formula: str) -> float:
-    """The floor, refused when evaluating it overflows float range.  A floor
-    that underflows comes out 0, as any float product does."""
+def _require_smallball(tau: float, q2tau: float) -> None:
+    """The small-ball inputs: tau > 0 and Q(2tau) in [0, 1]."""
+    if tau <= 0:
+        raise InvalidParameterError(f"tau must be > 0, got {tau}")
+    if not (0 <= q2tau <= 1):
+        raise InvalidParameterError(f"q2tau must be in [0, 1], got {q2tau}")
+
+
+def _prediction(
+    regime: str, floor: float, formula: str, pfail: float, constants: dict, ok: bool, detail: str, flags=()
+) -> BoundPrediction:
+    """The prediction of every floor, built by the module's rule; ``formula``
+    names the floor when it is refused.  A floor that underflows comes out 0,
+    as any float product does."""
     if not math.isfinite(floor):
         raise InvalidParameterError(f"floor {formula} overflows float range for these inputs")
-    return floor
+    return BoundPrediction(
+        regime=regime,
+        floor=floor,
+        prob_failure=min(1.0, max(0.0, pfail)),
+        constants=constants,
+        precondition_ok=ok,
+        precondition_detail=detail,
+        flags=(*flags, "vacuous") if floor <= 0 else flags,
+    )
 
 
 def regime_for_eta(eta: float) -> str:
@@ -150,43 +164,25 @@ def floor_regime(eta: float, beta: float, k: ConstantSet, N: int) -> BoundPredic
     The theorems' constants depend on eta and on the tail constant L of
     sup_t E|<t,X>|^(2+eta) <= L; here they are the ``k`` values, so L is no
     argument.  The regime is selected by eta (above/at/below 2, tolerance
-    1e-9).  N enters the failure probability only.  Vacuous floors (<= 0)
-    are reported as-is with a flag; the boundary beta = 1 makes the log-rate
-    regimes degenerate and is flagged too.
+    1e-9).  N enters the failure probability only.  The boundary beta = 1
+    makes the log-rate regimes degenerate and is flagged.
     """
     if not (0 < beta <= 1):
         raise InvalidParameterError(f"beta must be in (0, 1], got {beta}")
     _require_counts(N=N)
     regime = regime_for_eta(eta)
-    flags: list[str] = []
+    detail = f"eta={eta}, beta={beta}, N={N}"
     if regime == "eta-gt-2":
-        floor = 1.0 - k.c2 * math.sqrt(beta)
-        pfail = _clamp01(k.c0 * math.log(math.e / beta) * math.exp(-k.c1 * N * beta))
+        pfail = k.c0 * math.log(math.e / beta) * math.exp(-k.c1 * N * beta)
         constants = {"c0": k.c0, "c1": k.c1, "c2": k.c2}
-    elif regime == "eta-eq-2":
-        floor = 1.0 - k.c4 * regime_rate("eta-eq-2", beta)
-        pfail = _clamp01(math.exp(-k.c3 * N * beta * math.log(1.0 / beta)) if beta < 1 else 1.0)
-        constants = {"c3": k.c3, "c4": k.c4}
-        if beta == 1.0:
-            flags.append("degenerate-edge")
-    else:
-        floor = 1.0 - k.c6 * regime_rate("eta-lt-2", beta, eta)
-        pfail = _clamp01(math.exp(-k.c5 * N * beta * math.log(1.0 / beta)) if beta < 1 else 1.0)
-        constants = {"c5": k.c5, "c6": k.c6}
-        if beta == 1.0:
-            flags.append("degenerate-edge")
-    floor = _representable(floor, "1 - c * rate")
-    if floor <= 0:
-        flags.append("vacuous")
-    return BoundPrediction(
-        regime=regime,
-        floor=floor,
-        prob_failure=pfail,
-        constants=constants,
-        precondition_ok=True,
-        precondition_detail=f"eta={eta}, beta={beta}, N={N}",
-        flags=tuple(flags),
-    )
+        return _prediction(regime, 1.0 - k.c2 * math.sqrt(beta), "1 - c * rate", pfail, constants, True, detail)
+    # the log-rate regimes differ only in their constants and rate
+    constants = {"c3": k.c3, "c4": k.c4} if regime == "eta-eq-2" else {"c5": k.c5, "c6": k.c6}
+    c_fail, c_floor = constants.values()
+    floor = 1.0 - c_floor * regime_rate(regime, beta, eta)
+    pfail = math.exp(-c_fail * N * beta * math.log(1.0 / beta)) if beta < 1 else 1.0
+    flags = ("degenerate-edge",) if beta == 1.0 else ()
+    return _prediction(regime, floor, "1 - c * rate", pfail, constants, True, detail, flags)
 
 
 def basic_floor(tau: float, q2tau: float, r_n: float, N: int) -> BoundPrediction:
@@ -196,26 +192,18 @@ def basic_floor(tau: float, q2tau: float, r_n: float, N: int) -> BoundPrediction
     there are no free constants.  Failure probability 2 exp(-Q(2tau)^2 N / 8).
     """
     _require_finite(tau=tau, r_n=r_n)
-    if tau <= 0:
-        raise InvalidParameterError(f"tau must be > 0, got {tau}")
-    if not (0 <= q2tau <= 1):
-        raise InvalidParameterError(f"q2tau must be in [0, 1], got {q2tau}")
+    _require_smallball(tau, q2tau)
     _require_counts(N=N)
     threshold = tau * q2tau / 16.0
-    ok = r_n <= threshold
-    floor = _representable(_power(tau, 2) * q2tau / 2.0, "tau^2 q2tau/2")
-    pfail = _clamp01(2.0 * math.exp(-(q2tau**2) * N / 8.0))
-    flags = ["squared-scale"]
-    if floor <= 0:
-        flags.append("vacuous")
-    return BoundPrediction(
-        regime="basic-smallball",
-        floor=floor,
-        prob_failure=pfail,
-        constants={},
-        precondition_ok=ok,
-        precondition_detail=f"r_n={r_n} vs tau*q2tau/16={threshold}",
-        flags=tuple(flags),
+    return _prediction(
+        "basic-smallball",
+        _power(tau, 2) * q2tau / 2.0,
+        "tau^2 q2tau/2",
+        2.0 * math.exp(-(q2tau**2) * N / 8.0),
+        {},
+        r_n <= threshold,
+        f"r_n={r_n} vs tau*q2tau/16={threshold}",
+        ("squared-scale",),
     )
 
 
@@ -226,17 +214,14 @@ def isomorphic_floor(band: CovarianceBand, n: int, N: int, k: ConstantSet) -> Bo
     """
     _require_counts(n=n, N=N)
     needed = k.iso_c0 * _power(band.B, 4) * _power(band.A / band.a, 2) * n
-    ok = N >= needed
-    floor = _representable(k.iso_c2 * band.a / _power(band.B, 2), "c2 a/B^2")
-    pfail = _clamp01(math.exp(-k.iso_c1 * N / _power(band.B, 4)))
-    return BoundPrediction(
-        regime="isomorphic",
-        floor=floor,
-        prob_failure=pfail,
-        constants={"iso_c0": k.iso_c0, "iso_c1": k.iso_c1, "iso_c2": k.iso_c2},
-        precondition_ok=ok,
-        precondition_detail=f"N={N} vs c0*B^4*(A/a)^2*n={needed:.6g}",
-        flags=() if floor > 0 else ("vacuous",),
+    return _prediction(
+        "isomorphic",
+        k.iso_c2 * band.a / _power(band.B, 2),
+        "c2 a/B^2",
+        math.exp(-k.iso_c1 * N / _power(band.B, 4)),
+        {"iso_c0": k.iso_c0, "iso_c1": k.iso_c1, "iso_c2": k.iso_c2},
+        N >= needed,
+        f"N={N} vs c0*B^4*(A/a)^2*n={needed:.6g}",
     )
 
 
@@ -249,24 +234,18 @@ def general_floor(
     N >= c1 A n / (tau^2 Q(2tau)^2).
     """
     _require_finite(tau=tau, A=A)
-    if tau <= 0:
-        raise InvalidParameterError(f"tau must be > 0, got {tau}")
-    if not (0 <= q2tau <= 1):
-        raise InvalidParameterError(f"q2tau must be in [0, 1], got {q2tau}")
+    _require_smallball(tau, q2tau)
     if A <= 0:
         raise InvalidParameterError(f"A must be > 0, got {A}")
     _require_counts(n=n, N=N)
     scale = _power(tau, 2) * q2tau**2
     needed = k.gen_c1 * A * n / scale if scale > 0 else math.inf
-    ok = N >= needed
-    floor = _representable(k.gen_c2 * tau * math.sqrt(q2tau), "c2 tau sqrt(q2tau)")
-    pfail = _clamp01(2.0 * math.exp(-k.gen_c3 * N * q2tau**2))
-    return BoundPrediction(
-        regime="general-smallball",
-        floor=floor,
-        prob_failure=pfail,
-        constants={"gen_c1": k.gen_c1, "gen_c2": k.gen_c2, "gen_c3": k.gen_c3},
-        precondition_ok=ok,
-        precondition_detail=f"N={N} vs c1*A*n/(tau^2 q^2)={needed:.6g}",
-        flags=() if floor > 0 else ("vacuous",),
+    return _prediction(
+        "general-smallball",
+        k.gen_c2 * tau * math.sqrt(q2tau),
+        "c2 tau sqrt(q2tau)",
+        2.0 * math.exp(-k.gen_c3 * N * q2tau**2),
+        {"gen_c1": k.gen_c1, "gen_c2": k.gen_c2, "gen_c3": k.gen_c3},
+        N >= needed,
+        f"N={N} vs c1*A*n/(tau^2 q^2)={needed:.6g}",
     )

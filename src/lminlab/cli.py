@@ -41,14 +41,6 @@ def _flags(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument(f"--{name}", **_FLAGS[name])
 
 
-def _write(text: str, out) -> None:
-    if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _emit(pairs: dict, args) -> None:
     """Write a flat key->value record as csv rows or a json object."""
     if args.fmt == "json":
@@ -205,7 +197,8 @@ def cmd_sweep(args) -> int:
     result = ex.run_sweep(cfg, threads=args.threads)
     # a value the result JSON cannot hold fails the sweep before any output
     # is written, so the three files never disagree
-    ex.require_finite(result.to_json_dict())
+    doc = result.to_json_dict()
+    ex.require_finite(doc)
     if rows_path:
         result.rows_csv(rows_path)
         print(f"wrote {len(result.rows)} trial rows to {rows_path}")
@@ -213,7 +206,7 @@ def cmd_sweep(args) -> int:
         result.summary_csv(summary_path)
         print(f"wrote {len(result.summaries)} summaries to {summary_path}")
     if json_path:
-        result.to_json(json_path)
+        ex.write_json(doc, json_path)
         print(f"wrote result json to {json_path}")
     if result.failures:
         print(f"{len(result.failures)} trial(s) failed", file=sys.stderr)
@@ -227,7 +220,8 @@ def cmd_verify(args) -> int:
     else:
         lines = [f"[{c.status.upper():7s}] {c.name}: {c.detail}" for c in report.checks]
         lines.append(f"overall: {'PASS' if report.ok else 'FAIL'} (budget {report.budget})")
-        _write("\n".join(lines) + "\n", args.out)
+        with ex.open_output(args.out) as fh:
+            fh.write("\n".join(lines) + "\n")
     return 0 if report.ok else 1
 
 

@@ -18,6 +18,7 @@ JSON is strict: a non-finite value is an error, never ``NaN`` in the file.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
 import inspect
 import json
@@ -83,6 +84,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _sweep_values(self.beta_grid, self.trials, self.seed)
+        for beta in self.beta_grid:
+            try:
+                self.sample_size(beta)
+            except OverflowError:
+                raise InvalidParameterError(f"N = ceil(n/beta) is beyond float range at beta = {beta}") from None
 
     def sample_size(self, beta: float) -> int:
         return max(self.spec.n, math.ceil(self.spec.n / beta))
@@ -152,8 +158,16 @@ class SweepResult:
             "failures": [vars(f) for f in self.failures],
         }
 
-    def to_json(self, path) -> None:
-        write_json(self.to_json_dict(), path)
+
+@contextlib.contextmanager
+def open_output(path=None):
+    """The file ``path`` opened for text writing with no newline
+    translation, or stdout when ``path`` is None."""
+    if path is None:
+        yield sys.stdout
+        return
+    with open(path, "w", newline="") as fh:
+        yield fh
 
 
 def write_json(obj, path=None, end: str = "") -> None:
@@ -162,11 +176,7 @@ def write_json(obj, path=None, end: str = "") -> None:
     float, which JSON cannot hold, raises ``LminlabError`` naming its key
     before anything is written, never ``NaN`` or ``Infinity``."""
     require_finite(obj)
-    if path is None:
-        json.dump(obj, sys.stdout, indent=1, allow_nan=False)
-        sys.stdout.write(end)
-        return
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         json.dump(obj, fh, indent=1, allow_nan=False)
         fh.write(end)
 
@@ -203,10 +213,7 @@ def write_table(rows, path=None) -> None:
     """Write ``rows`` as CSV to the file ``path``, or to stdout when ``path``
     is None.  ``csv.writer`` writes every float, numpy's too, by its
     ``repr``, and None as an empty cell."""
-    if path is None:
-        csv.writer(sys.stdout).writerows(rows)
-        return
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         csv.writer(fh).writerows(rows)
 
 
@@ -290,18 +297,6 @@ def _solve_gaussian(cfg: ExperimentConfig, drawn: list) -> list:
     ]
 
 
-def _regime_for_spec(spec: dist.DistributionSpec) -> tuple[str, float]:
-    """Regime tag and the eta used for floors.
-
-    Families without a declared polynomial tail (bounded or Gaussian
-    marginals) satisfy every eta > 2 tail bound, so they report under the
-    eta-gt-2 regime with eta = inf.
-    """
-    if spec.eta is not None:
-        return bd.regime_for_eta(spec.eta), spec.eta
-    return "eta-gt-2", math.inf
-
-
 def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
     """Execute the sweep: trials (parallelizable), per-beta aggregation,
     floor predictions, and an exponent fit when enough grid points allow.
@@ -348,7 +343,9 @@ def _run_sweep(cfg: ExperimentConfig, threads: int) -> SweepResult:
     outcomes.sort(key=lambda outcome: outcome[0])
     rows = tuple(row for _, row, _ in outcomes if row is not None)
     failures = [failure for _, _, failure in outcomes if failure is not None]
-    regime, eta_eff = _regime_for_spec(cfg.spec)
+    # a family with no declared polynomial tail (bounded or Gaussian marginals) meets every eta > 2 bound
+    eta = math.inf if cfg.spec.eta is None else cfg.spec.eta
+    regime = bd.regime_for_eta(eta)
 
     summaries = []
     for beta in cfg.beta_grid:
@@ -357,7 +354,7 @@ def _run_sweep(cfg: ExperimentConfig, threads: int) -> SweepResult:
             continue
         N = cfg.sample_size(beta)
         median = float(np.median(lmins))
-        pred = bd.floor_regime(eta_eff, beta, cfg.constants, N)
+        pred = bd.floor_regime(eta, beta, cfg.constants, N)
         summaries.append(
             BetaSummary(
                 family=cfg.spec.family,
@@ -374,10 +371,10 @@ def _run_sweep(cfg: ExperimentConfig, threads: int) -> SweepResult:
             )
         )
 
-    fit = None
-    fit_rows = [(s.beta, s.deficit) for s in summaries if s.deficit > 0]
-    if len(fit_rows) >= 4:
-        fit = fit_exponent(fit_rows, regime=regime)
+    # the fit takes the rows with a deficit and a nonzero rate (below eta = 2 the rate is 0 at beta = 1)
+    rate = _FIT_RATES[regime]
+    fit_rows = [(s.beta, s.deficit) for s in summaries if s.deficit > 0 and rate(s.beta) > 0]
+    fit = fit_exponent(fit_rows, regime=regime) if len(fit_rows) >= 4 else None
     return SweepResult(
         config_seed=cfg.seed,
         rows=rows,

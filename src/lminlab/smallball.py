@@ -292,7 +292,6 @@ def small_ball_curve(
     samples: np.ndarray,
     u_grid,
     budget: int = 256,
-    p: float = 2.0,
     rng: np.random.Generator | int | None = None,
 ) -> SmallBallCurve:
     """Build the sandwich curve over an ascending threshold grid.
@@ -327,7 +326,7 @@ def small_ball_curve(
     indices = np.argmin(tails, axis=1)
     upper = tails[np.arange(len(u_grid)), indices]
 
-    ratios = moment_ratios(samples, p=p, budget=budget, rng=rng)
+    ratios = moment_ratios(samples, p=2.0, budget=budget, rng=rng)
     lower = np.array([paley_zygmund_lower(ratios, u).value for u in u_grid])
 
     return SmallBallCurve(

@@ -1,4 +1,4 @@
-"""Tests for floor predictions, constants, and anchor calibration."""
+"""Tests for floor predictions, their regimes, gates and constants."""
 
 import math
 
@@ -185,3 +185,147 @@ def test_floors_reject_nonfinite_inputs(call, bad):
 def test_tail_floor_accepts_infinite_eta():
     # families without a polynomial tail report under eta-gt-2 with eta = inf
     assert bd.floor_regime(math.inf, 0.25, K, 100).floor == pytest.approx(0.5)
+
+
+def _pred(regime, floor, pfail, constants, ok, detail, flags=()):
+    return bd.BoundPrediction(regime, floor, pfail, constants, ok, detail, flags)
+
+
+_TAIL_K = {"c0": 1.0, "c1": 1.0, "c2": 1.0}
+_EQ2_K = {"c3": 1.0, "c4": 1.0}
+_ISO_K = {"iso_c0": 1.0, "iso_c1": 1.0, "iso_c2": 1.0}
+_GEN_K = {"gen_c1": 1.0, "gen_c2": 1.0, "gen_c3": 1.0}
+_BAND = bd.CovarianceBand(1.0, 1.0, 1.0)
+
+# Every field of every floor's prediction, flags in order, and the message of
+# each refusal (overflow and validation order), as the floors gave them
+# before they shared one builder.
+_PINNED = {
+    "tail-gt2": (
+        lambda: bd.floor_regime(5.0, 0.25, K, 100),
+        _pred("eta-gt-2", 0.5, 3.314072213251322e-11, _TAIL_K, True, "eta=5.0, beta=0.25, N=100"),
+    ),
+    "tail-gt2-vacuous": (
+        lambda: bd.floor_regime(5.0, 1.0, K, 100),
+        _pred("eta-gt-2", 0.0, 3.720075976020836e-44, _TAIL_K, True, "eta=5.0, beta=1.0, N=100", ("vacuous",)),
+    ),
+    "tail-gt2-clamped": (
+        lambda: bd.floor_regime(5.0, 0.01, K, 1),
+        _pred("eta-gt-2", 0.9, 1.0, _TAIL_K, True, "eta=5.0, beta=0.01, N=1"),
+    ),
+    "tail-inf-eta": (
+        lambda: bd.floor_regime(math.inf, 0.25, K, 100),
+        _pred("eta-gt-2", 0.5, 3.314072213251322e-11, _TAIL_K, True, "eta=inf, beta=0.25, N=100"),
+    ),
+    "tail-eq2": (
+        lambda: bd.floor_regime(2.0, 0.5, K, 100),
+        _pred("eta-eq-2", 0.5919407812651885, 8.881784197001244e-16, _EQ2_K, True, "eta=2.0, beta=0.5, N=100"),
+    ),
+    "tail-eq2-vacuous": (
+        lambda: bd.floor_regime(2.0, math.exp(-2), K, 100),
+        _pred(
+            "eta-eq-2", -0.04052019004577789, 1.757626762331334e-12, _EQ2_K, True,
+            "eta=2.0, beta=0.1353352832366127, N=100", ("vacuous",),
+        ),
+    ),
+    "tail-eq2-edge": (
+        lambda: bd.floor_regime(2.0, 1.0, K, 100),
+        _pred("eta-eq-2", 1.0, 1.0, _EQ2_K, True, "eta=2.0, beta=1.0, N=100", ("degenerate-edge",)),
+    ),
+    "tail-lt2": (
+        lambda: bd.floor_regime(1.0, 0.25, K, 100),
+        _pred(
+            "eta-lt-2", 0.29757738028556535, 8.881784197001244e-16, {"c5": 1.0, "c6": 1.0}, True,
+            "eta=1.0, beta=0.25, N=100",
+        ),
+    ),
+    "tail-lt2-edge": (
+        lambda: bd.floor_regime(1.0, 1.0, K, 100),
+        _pred("eta-lt-2", 1.0, 1.0, {"c5": 1.0, "c6": 1.0}, True, "eta=1.0, beta=1.0, N=100", ("degenerate-edge",)),
+    ),
+    "tail-lt2-vacuous": (
+        lambda: bd.floor_regime(1.0, 0.25, bd.ConstantSet(c6=10.0), 100),
+        _pred(
+            "eta-lt-2", -6.024226197144347, 8.881784197001244e-16, {"c5": 1.0, "c6": 10.0}, True,
+            "eta=1.0, beta=0.25, N=100", ("vacuous",),
+        ),
+    ),
+    "tail-overflow": (
+        lambda: bd.floor_regime(2.0, 0.05, bd.ConstantSet(c4=1.7e308), 10),
+        "floor 1 - c * rate overflows float range for these inputs",
+    ),
+    "tail-beta-first": (lambda: bd.floor_regime(0.0, 1.5, K, 0), "beta must be in (0, 1], got 1.5"),
+    "tail-N-before-eta": (lambda: bd.floor_regime(0.0, 0.5, K, 0), "N must be >= 1, got 0"),
+    "basic": (
+        lambda: bd.basic_floor(0.25, 0.25, 1 / 300, 64),
+        _pred(
+            "basic-smallball", 0.0078125, 1.0, {}, True, "r_n=0.0033333333333333335 vs tau*q2tau/16=0.00390625",
+            ("squared-scale",),
+        ),
+    ),
+    "basic-zero-q": (
+        lambda: bd.basic_floor(0.25, 0.0, 0.01, 64),
+        _pred(
+            "basic-smallball", 0.0, 1.0, {}, False, "r_n=0.01 vs tau*q2tau/16=0.0", ("squared-scale", "vacuous")
+        ),
+    ),
+    "basic-overflow": (
+        lambda: bd.basic_floor(1e200, 0.5, 0.1, 10),
+        "floor tau^2 q2tau/2 overflows float range for these inputs",
+    ),
+    "basic-finite-first": (lambda: bd.basic_floor(-1.0, 2.0, math.nan, 0), "r_n must be finite, got nan"),
+    "basic-tau-before-q": (lambda: bd.basic_floor(-1.0, 2.0, 0.0, 0), "tau must be > 0, got -1.0"),
+    "basic-q-before-N": (lambda: bd.basic_floor(1.0, 2.0, 0.0, 0), "q2tau must be in [0, 1], got 2.0"),
+    "isomorphic": (
+        lambda: bd.isomorphic_floor(_BAND, 10, 100, K),
+        _pred("isomorphic", 1.0, 3.720075976020836e-44, _ISO_K, True, "N=100 vs c0*B^4*(A/a)^2*n=10"),
+    ),
+    "isomorphic-inf-threshold": (
+        lambda: bd.isomorphic_floor(bd.CovarianceBand(1.0, 1.0, 1e100), 4, 10, K),
+        _pred("isomorphic", 1e-200, 1.0, _ISO_K, False, "N=10 vs c0*B^4*(A/a)^2*n=inf"),
+    ),
+    "isomorphic-vacuous": (
+        lambda: bd.isomorphic_floor(bd.CovarianceBand(1e-300, 1.0, 1e200), 4, 10, K),
+        _pred("isomorphic", 0.0, 1.0, _ISO_K, False, "N=10 vs c0*B^4*(A/a)^2*n=inf", ("vacuous",)),
+    ),
+    "isomorphic-overflow": (
+        lambda: bd.isomorphic_floor(bd.CovarianceBand(10.0, 10.0, 1.0), 4, 10, bd.ConstantSet(iso_c2=1e308)),
+        "floor c2 a/B^2 overflows float range for these inputs",
+    ),
+    "isomorphic-n-before-N": (lambda: bd.isomorphic_floor(_BAND, 0, 0, K), "n must be >= 1, got 0"),
+    "general": (
+        lambda: bd.general_floor(1.0, 1.0, 1.0, 10, 100, K),
+        _pred("general-smallball", 1.0, 7.440151952041672e-44, _GEN_K, True, "N=100 vs c1*A*n/(tau^2 q^2)=10"),
+    ),
+    "general-inf-threshold": (
+        lambda: bd.general_floor(1e-200, 0.5, 1.0, 4, 10, K),
+        _pred(
+            "general-smallball", 7.071067811865475e-201, 0.1641699972477976, _GEN_K, False,
+            "N=10 vs c1*A*n/(tau^2 q^2)=inf",
+        ),
+    ),
+    "general-zero-q": (
+        lambda: bd.general_floor(1.0, 0.0, 1.0, 10, 10**9, K),
+        _pred(
+            "general-smallball", 0.0, 1.0, _GEN_K, False, "N=1000000000 vs c1*A*n/(tau^2 q^2)=inf", ("vacuous",)
+        ),
+    ),
+    "general-overflow": (
+        lambda: bd.general_floor(10.0, 0.5, 1.0, 4, 10, bd.ConstantSet(gen_c2=1e308)),
+        "floor c2 tau sqrt(q2tau) overflows float range for these inputs",
+    ),
+    "general-tau-before-q": (lambda: bd.general_floor(-1.0, 2.0, -1.0, 0, 0, K), "tau must be > 0, got -1.0"),
+    "general-q-before-A": (lambda: bd.general_floor(1.0, 2.0, -1.0, 0, 0, K), "q2tau must be in [0, 1], got 2.0"),
+    "general-A-before-n": (lambda: bd.general_floor(1.0, 0.5, -1.0, 0, 0, K), "A must be > 0, got -1.0"),
+    "general-n-before-N": (lambda: bd.general_floor(1.0, 0.5, 1.0, 0, 0, K), "n must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("call,expected", _PINNED.values(), ids=_PINNED.keys())
+def test_floor_predictions_pinned(call, expected):
+    if isinstance(expected, str):
+        with pytest.raises(InvalidParameterError) as info:
+            call()
+        assert str(info.value) == expected
+        return
+    assert call() == expected

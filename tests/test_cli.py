@@ -228,6 +228,39 @@ def test_sweep_rejects_nonpositive_threads_before_creating_outputs(tmp_path, cap
 
 
 @pytest.mark.parametrize(
+    "family,n,beta",
+    [("gaussian-iid", "4", "1e-320"), ("uniform-cube", "4", "1e-320"), ("uniform-cube", "1" + "0" * 400, "1.0")],
+    ids=["gaussian-tiny-beta", "cube-tiny-beta", "cube-huge-n"],
+)
+def test_sweep_rejects_beta_whose_sample_size_overflows(tmp_path, capsys, family, n, beta):
+    """A config whose N = ceil(n/beta) is beyond float range is refused
+    before any output file is created."""
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(
+        f"[distribution]\nfamily = {family}\nn = {n}\n\n[sweep]\nbeta_grid = {beta} 0.5\ntrials = 2\nseed = 1\n"
+    )
+    rc = cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: N = ceil(n/beta) is beyond float range at beta = {beta}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_sweep_below_eta_2_fits_without_the_beta_one_row(tmp_path, capsys):
+    """Below eta = 2 the fit's rate variable beta log(1/beta) is 0 at
+    beta = 1, so that row is left out of the fit, not the whole sweep."""
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(
+        "[distribution]\nfamily = heavy-radial\nn = 6\neta = 1\n\n"
+        "[sweep]\nbeta_grid = 1 0.5 0.25 0.125 0.0625\ntrials = 20\nseed = 3\n"
+    )
+    rc = cli.main(["sweep", "--config", str(cfg), "--threads", "2", "--out", str(tmp_path / "run")])
+    assert rc == 0, capsys.readouterr().err
+    result = json.loads((tmp_path / "run.json").read_text())
+    assert len(result["rows"]) == 100 and len(result["summaries"]) == 5
+    assert result["fit"]["regime"] == "eta-lt-2" and result["fit"]["n_used"] == 4
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["--regime", "tail", "--eta", "5", "--beta", "0.25", "--config", "CONSTANTS"],

@@ -1,6 +1,8 @@
 """Property test: ``write_config`` then ``parse_config`` gives back an equal
 ``ExperimentConfig`` for every family, with and without optional keys."""
 
+import math
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -33,13 +35,14 @@ def specs(draw):
 
 @st.composite
 def configs(draw):
-    betas = draw(
-        st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True), min_size=1, max_size=6, unique=True)
-    )
+    spec = draw(specs())
+    # a beta for which N = ceil(n/beta) is beyond float range is no valid config
+    beta = st.floats(min_value=0.0, max_value=1.0, exclude_min=True).filter(lambda b: math.isfinite(spec.n / b))
+    betas = draw(st.lists(beta, min_size=1, max_size=6, unique=True))
     constants = draw(st.dictionaries(st.sampled_from(CONSTANT_NAMES), FINITE_POSITIVE))
     outputs = draw(st.fixed_dictionaries({}, optional={k: PATHS for k in ("rows", "summary", "result")}))
     return ex.ExperimentConfig(
-        spec=draw(specs()),
+        spec=spec,
         beta_grid=tuple(betas),
         trials=draw(st.integers(1, 10**6)),
         seed=draw(st.integers(0, 2**64 - 1)),
