@@ -137,7 +137,7 @@ def cmd_rademacher(args) -> int:
             "stderr": est.stderr,
             "draws": est.draws,
             "exact": est.exact,
-            "upper_bound": rad.rademacher_upper(1.0, spec.n, args.N),
+            "upper_bound": rad.rademacher_upper(spec.n, args.N),
         },
         args,
     )
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit a deficit scaling exponent from CSV rows")
     p.add_argument("--rows", required=True, help="CSV with beta and deficit columns")
-    p.add_argument("--regime", choices=("eta-gt-2", "eta-eq-2", "eta-lt-2"), default="eta-gt-2")
+    p.add_argument("--regime", choices=tuple(ex._FIT_RATES), default="eta-gt-2")
     _flags(p, "out", "format")
     p.set_defaults(func=cmd_fit)
 

@@ -383,11 +383,9 @@ def tiny_smallball_oracle(inst: FiniteInstance, tau: float) -> OracleReport:
 def random_instances(
     count: int,
     rng: np.random.Generator | int | None = None,
-    max_atoms: int = 4,
-    max_functions: int = 3,
-    max_n: int = 8,
 ) -> list[tuple[FiniteInstance, float]]:
-    """Randomized oracle battery: (instance, tau) pairs.
+    """Randomized oracle battery: (instance, tau) pairs, each instance with
+    2 to 4 atoms, 1 to 3 functions and a sample size N in 2..8.
 
     Function values mix zeros, moderate, and large magnitudes so the battery
     exercises degenerate (applicable) and non-degenerate (gated) instances.
@@ -395,9 +393,9 @@ def random_instances(
     rng = as_generator(rng)
     out = []
     for _ in range(count):
-        n_atoms = int(rng.integers(2, max_atoms + 1))
-        n_funcs = int(rng.integers(1, max_functions + 1))
-        N = int(rng.integers(2, max_n + 1))
+        n_atoms = int(rng.integers(2, 5))
+        n_funcs = int(rng.integers(1, 4))
+        N = int(rng.integers(2, 9))
         ints = rng.integers(1, 7, size=n_atoms)
         total = int(ints.sum())
         probs = tuple(Fraction(int(v), total) for v in ints)

@@ -48,7 +48,7 @@ from .streams import SeedRecord, check_seed
 
 # Version of the sweep result JSON, bumped whenever a change moves its
 # fields or its seeded values.
-RESULT_FORMAT_VERSION = 6
+RESULT_FORMAT_VERSION = 7
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class ExperimentConfig:
                 raise InvalidParameterError(f"N = ceil(n/beta) is beyond float range at beta = {beta}") from None
 
     def sample_size(self, beta: float) -> int:
-        return max(self.spec.n, math.ceil(self.spec.n / beta))
+        return math.ceil(self.spec.n / beta)
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,7 @@ class BetaSummary:
     floor_regime: str
     floor_value: float
     precondition_ok: bool
+    floor_flags: str
 
 
 @dataclass(frozen=True)
@@ -368,13 +369,14 @@ def _run_sweep(cfg: ExperimentConfig, threads: int) -> SweepResult:
                 floor_regime=pred.regime,
                 floor_value=pred.floor,
                 precondition_ok=pred.precondition_ok,
+                floor_flags=";".join(pred.flags),
             )
         )
 
-    # the fit takes the rows with a deficit and a nonzero rate (below eta = 2 the rate is 0 at beta = 1)
-    rate = _FIT_RATES[regime]
-    fit_rows = [(s.beta, s.deficit) for s in summaries if s.deficit > 0 and rate(s.beta) > 0]
-    fit = fit_exponent(fit_rows, regime=regime) if len(fit_rows) >= 4 else None
+    try:
+        fit = fit_exponent([(s.beta, s.deficit) for s in summaries], regime=regime)
+    except CalibrationUnavailableError:
+        fit = None
     return SweepResult(
         config_seed=cfg.seed,
         rows=rows,
@@ -409,10 +411,11 @@ def fit_exponent(rows, regime: str = "eta-gt-2") -> FitResult:
     """Fit log(deficit) on log(rate(beta)) over (beta, deficit) rows, with the
     regime's rate variable from ``_FIT_RATES``.
 
-    Rows with deficit <= 0 are excluded (and counted); at least 4 usable rows
-    with at least 2 distinct betas are required and the rate must be positive
-    on each.  A non-finite beta or deficit is an input error.  The half-width
-    is 2 standard errors of the slope.
+    A row is usable when its deficit and its rate are positive (below eta = 2
+    the rate is 0 at beta = 1); the others are excluded and counted.  At
+    least 4 usable rows with at least 2 distinct betas are required.  A
+    non-finite beta or deficit is an input error.  The half-width is 2
+    standard errors of the slope.
     """
     if regime not in _FIT_RATES:
         raise InvalidParameterError(f"unknown regime {regime!r}")
@@ -421,14 +424,12 @@ def fit_exponent(rows, regime: str = "eta-gt-2") -> FitResult:
     for b, d in rows:
         if not (math.isfinite(b) and math.isfinite(d)):
             raise InvalidInputError(f"fit rows must be finite, got beta={b}, deficit={d}")
-    usable = [(b, d) for b, d in rows if d > 0]
+    usable = [(b, d) for b, d in rows if d > 0 and b > 0 and rate(b) > 0]
     if len(usable) < 4:
         raise CalibrationUnavailableError(
-            f"need >= 4 rows with positive deficit, got {len(usable)}"
+            f"need >= 4 rows with positive deficit and rate, got {len(usable)}"
         )
     x = np.array([rate(b) for b, _ in usable])
-    if np.any(x <= 0):
-        raise CalibrationUnavailableError("rate variable vanishes on the grid (beta = 1 row?)")
     lx, ly = np.log(x), np.log(np.array([d for _, d in usable]))
     if np.all(lx == lx[0]):
         raise CalibrationUnavailableError("need >= 2 distinct betas among the usable rows, got 1")
@@ -643,11 +644,11 @@ def verify_suite(budget: int = 100) -> VerifyReport:
     add("second-moment-identity", worst <= 1e-12, f"worst relative gap {worst:.3g} over {n_ident}")
 
     spec = dist.DistributionSpec("gaussian-iid", 4)
-    ratios = sb.moment_ratios(spec, p=2.0)
+    ratios = sb.moment_ratios(spec)
     ok = True
     details = []
     for u in (0.1, 0.2, 0.4):
-        pz = sb.paley_zygmund_lower(ratios, u).value
+        pz = sb.paley_zygmund_lower(ratios, u)
         tail = dist.theoretical_tail(spec, u)
         details.append(f"u={u}: {pz:.4f} <= {tail:.4f}")
         if pz > tail:

@@ -96,8 +96,8 @@ def rademacher_linear(
     return RademacherEstimate(value=float(norms.mean()), stderr=stderr, draws=draws, exact=False)
 
 
-def rademacher_upper(A: float, n: int, N: int) -> float:
-    """Jensen bound A * sqrt(n/N) for isotropic rows with marginal L2 <= A."""
-    if A <= 0 or n < 1 or N < 1:
-        raise InvalidParameterError(f"need A > 0, n >= 1, N >= 1; got A={A}, n={n}, N={N}")
-    return A * np.sqrt(n / N)
+def rademacher_upper(n: int, N: int) -> float:
+    """Jensen bound sqrt(n/N) on E R_N for N isotropic rows in dimension n."""
+    if n < 1 or N < 1:
+        raise InvalidParameterError(f"need n >= 1, N >= 1; got n={n}, N={N}")
+    return np.sqrt(n / N)

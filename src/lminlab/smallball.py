@@ -5,8 +5,8 @@ report carries both sides of a sandwich:
 
 - upper: a direction-search minimum of the empirical tail (a search over a
   subset of the sphere can only overestimate the infimum);
-- lower: the Paley-Zygmund bound (1 - u/alpha)^q (1/beta_p)^q from moment
-  ratios, certified when alpha and beta_p are.
+- lower: the Paley-Zygmund bound (1 - u/alpha)^2 (1/beta_p)^2 from the
+  moment ratios at p = 2, certified when alpha and beta_p are.
 
 Search strategy (deterministic under a fixed seed): 80% of the direction
 budget goes to uniform random directions, then the 2n signed coordinate
@@ -14,7 +14,7 @@ directions, then greedy local refinement of the best candidate by Gaussian
 perturbations of decaying scale.  Ties break to the lowest pool index.
 
 Memory: every statistic over a direction set (tail fractions, means of
-|<X,t>| and |<X,t>|^p) is accumulated by walking the samples in row blocks
+|<X,t>| and |<X,t>|^2) is accumulated by walking the samples in row blocks
 of at most ``_BLOCK_ELEMENTS`` projections, written into buffers reused
 from block to block, so no samples x directions matrix is built.  A curve
 projects each direction once: its base pool, then only the refinement
@@ -110,13 +110,13 @@ class _Marginals(NamedTuple):
     """Statistics of the marginals |<X_i, d>| over the rows X_i, per direction d."""
 
     tail: np.ndarray  # (len(us), D): fraction of rows with |<X_i, d>| >= u
-    l1: np.ndarray | None  # (D,): mean of |<X_i, d>|, when p was given
-    lp: np.ndarray | None  # (D,): mean of |<X_i, d>|^p, when p was given
+    l1: np.ndarray | None  # (D,): mean of |<X_i, d>|, when moments were asked for
+    l2sq: np.ndarray | None  # (D,): mean of |<X_i, d>|^2, when moments were asked for
 
 
-def _marginals(samples: np.ndarray, dirs: np.ndarray, us=(), p: float | None = None) -> _Marginals:
-    """Tail fractions at each u and, when ``p`` is given, the means of
-    |<X_i, d>| and |<X_i, d>|^p, for every direction d (a row of ``dirs``).
+def _marginals(samples: np.ndarray, dirs: np.ndarray, us=(), moments: bool = False) -> _Marginals:
+    """Tail fractions at each u and, when ``moments`` is set, the means of
+    |<X_i, d>| and |<X_i, d>|^2, for every direction d (a row of ``dirs``).
 
     The samples are walked in row blocks under the single-thread BLAS pin.
     The tails are counted in integers.  Each statistic has one buffer whose
@@ -125,8 +125,8 @@ def _marginals(samples: np.ndarray, dirs: np.ndarray, us=(), p: float | None = N
     mean over axis 0 of the whole projection matrix does, and the means
     equal that one bit for bit.  A single direction is the exception: numpy
     sums one column pairwise, so its means agree with the dense one only to
-    round-off.  The p-th powers come from ``np.power``, the ufunc that
-    ``proj ** p`` runs for a float p > 1.
+    round-off.  The squares come from ``np.power(proj, 2.0)``, the ufunc
+    that ``proj ** 2.0`` runs.
     """
     N, D = samples.shape[0], dirs.shape[0]
     counts = np.zeros((len(us), D), dtype=np.int64)
@@ -136,7 +136,7 @@ def _marginals(samples: np.ndarray, dirs: np.ndarray, us=(), p: float | None = N
             end = rows.stop - rows.start + 1
             if sums is None:  # the first block is the longest
                 sums = np.zeros((end, D))
-                powers = None if p is None else np.zeros_like(sums)
+                powers = np.zeros_like(sums) if moments else None
             proj = sums[1:end]
             np.matmul(samples[rows], dirs.T, out=proj)
             np.abs(proj, out=proj)
@@ -144,11 +144,11 @@ def _marginals(samples: np.ndarray, dirs: np.ndarray, us=(), p: float | None = N
                 # int32 sums of booleans run about twice as fast as int64
                 # ones, and a block has far fewer than 2^31 rows
                 counts[i] += (proj >= u).sum(axis=0, dtype=np.int32)
-            if p is not None:
-                np.power(proj, p, out=powers[1:end])
+            if moments:
+                np.power(proj, 2.0, out=powers[1:end])
                 sums[0] = sums[:end].sum(axis=0)
                 powers[0] = powers[:end].sum(axis=0)
-    if p is None:
+    if not moments:
         return _Marginals(counts / N, None, None)
     return _Marginals(counts / N, sums[0] / N, powers[0] / N)
 
@@ -178,41 +178,38 @@ def q_inf_search(
 
 @dataclass(frozen=True)
 class MomentRatios:
-    """alpha = inf of L1 norms over directions; beta_p = sup of Lp/L1 ratios."""
+    """alpha = inf of L1 norms over directions; beta_p = sup of L2/L1 ratios
+    (the moment order is p = 2)."""
 
     alpha: float
     beta_p: float
-    p: float
-    degenerate: bool = False
     alpha_dir: np.ndarray | None = None
     beta_dir: np.ndarray | None = None
 
 
 def moment_ratios(
     source: np.ndarray | DistributionSpec,
-    p: float = 2.0,
     budget: int = 256,
     rng: np.random.Generator | int | None = None,
 ) -> MomentRatios:
-    """Moment ratios of linear marginals, by quadrature or direction search.
+    """Moment ratios of linear marginals at p = 2, by quadrature or direction
+    search.
 
     A ``DistributionSpec`` takes the analytic path (rotation-invariant
     families only, where coordinate quadrature equals the sphere extremes).
     An array of samples takes the empirical path: alpha from a direction
     search minimizing the empirical L1 norm, beta_p from a search maximizing
-    the empirical Lp/L1 ratio.  A direction with empirical L1 norm 0 makes the
-    result degenerate (alpha = 0).
+    the empirical L2/L1 ratio.  A direction with empirical L1 norm 0 gives
+    alpha = 0.
     """
-    if p <= 1:
-        raise InvalidParameterError(f"p must be > 1, got {p}")
     if isinstance(source, DistributionSpec):
         if not source.rotation_invariant:
             raise UnsupportedQueryError(
                 f"{source.family} is not rotation-invariant; use the empirical path"
             )
         alpha = marginal_abs_moment(source, 1.0)
-        lp = marginal_abs_moment(source, p) ** (1.0 / p)
-        return MomentRatios(alpha=alpha, beta_p=lp / alpha, p=p)
+        l2 = marginal_abs_moment(source, 2.0) ** 0.5
+        return MomentRatios(alpha=alpha, beta_p=l2 / alpha)
 
     samples = _as_samples(source)
     rng = as_generator(rng)
@@ -225,14 +222,14 @@ def moment_ratios(
         l1 = proj.mean()
         if l1 == 0:
             return math.inf
-        ratio = float((proj**p).mean() ** (1.0 / p) / l1)
+        ratio = float((proj**2.0).mean() ** 0.5 / l1)
         return -ratio if math.isfinite(ratio) else math.inf
 
-    marginals = _marginals(samples, pool, p=p)
+    marginals = _marginals(samples, pool, moments=True)
     l1s = marginals.l1
-    lps = marginals.lp ** (1.0 / p)
+    l2s = marginals.l2sq**0.5
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(l1s > 0, lps / l1s, math.inf)
+        ratios = np.where(l1s > 0, l2s / l1s, math.inf)
 
     ai = int(np.argmin(l1s))
     bi = int(np.argmax(np.where(np.isfinite(ratios), ratios, -math.inf)))
@@ -244,31 +241,19 @@ def moment_ratios(
     _refine([alpha_chain, beta_chain], n_refine, rng)
     _, alpha, alpha_dir = alpha_chain
     beta, beta_dir = -beta_chain[1], beta_chain[2]
-    degenerate = alpha == 0.0
-    return MomentRatios(
-        alpha=alpha, beta_p=beta, p=p, degenerate=degenerate, alpha_dir=alpha_dir, beta_dir=beta_dir
-    )
+    return MomentRatios(alpha=alpha, beta_p=beta, alpha_dir=alpha_dir, beta_dir=beta_dir)
 
 
-class PZBound(NamedTuple):
-    value: float
-    vacuous: bool
+def paley_zygmund_lower(ratios: MomentRatios, u: float) -> float:
+    """Paley-Zygmund lower bound (1 - u/alpha)^2 (1/beta_p)^2 on Q(u).
 
-
-def paley_zygmund_lower(ratios: MomentRatios, u: float) -> PZBound:
-    """Paley-Zygmund lower bound (1 - u/alpha)^q (1/beta_p)^q, q conjugate to p.
-
-    Vacuous (value 0) when u >= alpha or the ratios are degenerate.
+    Vacuous (0) when u >= alpha, alpha = 0 or beta_p is infinite.
     """
     if u < 0:
         raise InvalidParameterError(f"u must be >= 0, got {u}")
-    if ratios.p <= 1:
-        raise InvalidParameterError(f"p must be > 1, got {ratios.p}")
     if ratios.alpha <= 0 or u >= ratios.alpha or not math.isfinite(ratios.beta_p):
-        return PZBound(0.0, True)
-    q = ratios.p / (ratios.p - 1.0)
-    value = (1.0 - u / ratios.alpha) ** q * (1.0 / ratios.beta_p) ** q
-    return PZBound(float(value), False)
+        return 0.0
+    return float((1.0 - u / ratios.alpha) ** 2.0 * (1.0 / ratios.beta_p) ** 2.0)
 
 
 @dataclass(frozen=True)
@@ -326,8 +311,8 @@ def small_ball_curve(
     indices = np.argmin(tails, axis=1)
     upper = tails[np.arange(len(u_grid)), indices]
 
-    ratios = moment_ratios(samples, p=2.0, budget=budget, rng=rng)
-    lower = np.array([paley_zygmund_lower(ratios, u).value for u in u_grid])
+    ratios = moment_ratios(samples, budget=budget, rng=rng)
+    lower = np.array([paley_zygmund_lower(ratios, u) for u in u_grid])
 
     return SmallBallCurve(
         u_grid=u_grid,

@@ -260,6 +260,26 @@ def test_sweep_below_eta_2_fits_without_the_beta_one_row(tmp_path, capsys):
     assert result["fit"]["regime"] == "eta-lt-2" and result["fit"]["n_used"] == 4
 
 
+def test_fit_on_sweep_summary_reproduces_the_sweep_fit(tmp_path, capsys):
+    """The sweep and ``lminlab fit`` keep the same rows: on the sweep's own
+    summary CSV, whose beta = 1 row has a zero rate below eta = 2, ``fit``
+    gives the sweep's fit, with that row counted in ``n_excluded``."""
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(
+        "[distribution]\nfamily = heavy-radial\nn = 6\neta = 1\n\n"
+        "[sweep]\nbeta_grid = 1 0.5 0.25 0.125 0.0625\ntrials = 20\nseed = 7\n"
+    )
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    rc = cli.main(
+        ["fit", "--rows", str(tmp_path / "run.summary.csv"), "--regime", "eta-lt-2",
+         "--format", "json", "--out", str(tmp_path / "fit.json")]
+    )
+    assert rc == 0, capsys.readouterr().err
+    sweep_fit = json.loads((tmp_path / "run.json").read_text())["fit"]
+    assert json.loads((tmp_path / "fit.json").read_text()) == sweep_fit
+    assert (sweep_fit["n_used"], sweep_fit["n_excluded"]) == (4, 1)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

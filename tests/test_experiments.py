@@ -242,6 +242,7 @@ def test_result_json_summary_fields():
         "floor_regime",
         "floor_value",
         "precondition_ok",
+        "floor_flags",
     ]
     for summary in r.to_json_dict()["summaries"]:
         assert list(summary) == expected
@@ -250,7 +251,24 @@ def test_result_json_summary_fields():
 def test_result_json_format_version():
     payload = ex.run_sweep(small_config(trials=2)).to_json_dict()
     assert list(payload) == ["format_version", "seed", "rows", "summaries", "fit", "failures"]
-    assert payload["format_version"] == 6
+    assert payload["format_version"] == 7
+
+
+@pytest.mark.parametrize(
+    "spec,flags",
+    [
+        (dist.DistributionSpec("heavy-radial", 6, eta=1.0), "degenerate-edge"),
+        (dist.DistributionSpec("atomic-mixture", 6, mixture_p=0.3), "vacuous"),
+    ],
+    ids=["heavy-radial-eta-1", "atomic-mixture"],
+)
+def test_summary_carries_floor_flags(spec, flags):
+    """A beta = 1 summary keeps the flags of its floor, joined as
+    ``lminlab bounds`` prints them, so a degenerate or vacuous floor does
+    not read as a plain number; the beta = 1/2 floor has none."""
+    r = ex.run_sweep(small_config(spec=spec, beta_grid=(1.0, 0.5), trials=3))
+    assert [s.floor_flags for s in r.summaries] == [flags, ""]
+    assert r.to_json_dict()["summaries"][0]["floor_flags"] == flags
 
 
 def test_sweep_trials_compute_no_eigenvectors(monkeypatch):
@@ -340,7 +358,7 @@ def test_run_sweep_csv_headers(tmp_path):
     assert rows_path.read_text().splitlines()[0] == "family,eta,n,N,beta,trial,lambda_min,lambda_max,seed"
     assert (
         summary_path.read_text().splitlines()[0]
-        == "family,eta,n,N,beta,median_lmin,p05_lmin,deficit,floor_regime,floor_value,precondition_ok"
+        == "family,eta,n,N,beta,median_lmin,p05_lmin,deficit,floor_regime,floor_value,precondition_ok,floor_flags"
     )
 
 
@@ -393,6 +411,16 @@ def test_fit_exponent_excludes_nonpositive():
     for bad in [(0.125, math.nan), (0.125, math.inf), (math.nan, 0.3), (-math.inf, 0.3)]:
         with pytest.raises(InvalidInputError):
             ex.fit_exponent(rows + [bad], regime="eta-gt-2")
+
+
+def test_fit_exponent_excludes_rows_without_positive_rate():
+    """A row whose rate variable is not positive is left out and counted,
+    like one with deficit <= 0: beta = 1 and beta = 0 below eta = 2, a
+    negative beta above it."""
+    rows = [(0.5, 0.7), (0.25, 0.5), (0.125, 0.35), (0.0625, 0.25)]
+    for regime, extra in (("eta-lt-2", [(1.0, 0.9), (0.0, 0.95)]), ("eta-gt-2", [(-0.5, 0.9)])):
+        fit = ex.fit_exponent(extra + rows, regime=regime)
+        assert fit == dataclasses.replace(ex.fit_exponent(rows, regime=regime), n_excluded=len(extra))
 
 
 def test_parse_config_roundtrip(tmp_path):

@@ -52,7 +52,7 @@ def test_per_sample_jensen_bound():
 
 
 def test_population_mean_below_isotropic_bound():
-    # the A sqrt(n/N) bound governs the expectation over the sample; averaging
+    # the sqrt(n/N) bound governs the expectation over the sample; averaging
     # exact enumerations over independent samples must stay below it
     rng = np.random.default_rng(7)
     spec = dist.DistributionSpec("uniform-cube", 6)
@@ -60,7 +60,7 @@ def test_population_mean_below_isotropic_bound():
         rad.rademacher_linear(dist.sample_matrix(spec, 12, rng), method="exact").value
         for _ in range(100)
     ]
-    assert np.mean(vals) <= rad.rademacher_upper(1.0, 6, 12)
+    assert np.mean(vals) <= rad.rademacher_upper(6, 12)
 
 
 def test_auto_selects_exact_then_mc():
@@ -71,10 +71,10 @@ def test_auto_selects_exact_then_mc():
 
 
 def test_upper_bound_values():
-    assert rad.rademacher_upper(1.0, 5, 5) == 1.0
-    assert rad.rademacher_upper(1.0, 100, 1600) == pytest.approx(0.25)
+    assert rad.rademacher_upper(5, 5) == 1.0
+    assert rad.rademacher_upper(100, 1600) == pytest.approx(0.25)
     with pytest.raises(InvalidParameterError):
-        rad.rademacher_upper(0.0, 5, 5)
+        rad.rademacher_upper(0, 5)
 
 
 def test_exact_cap_enforced():

@@ -100,28 +100,27 @@ def test_search_monotone_in_u_for_fixed_pool(gauss_samples):
 
 
 def test_moment_ratios_gaussian_analytic():
-    r = sb.moment_ratios(dist.DistributionSpec("gaussian-iid", 5), p=2.0)
+    r = sb.moment_ratios(dist.DistributionSpec("gaussian-iid", 5))
     assert r.alpha == pytest.approx(GAUSS_ALPHA, rel=1e-10)
     assert r.beta_p == pytest.approx(GAUSS_BETA2, rel=1e-10)
 
 
 def test_moment_ratios_analytic_requires_rotation_invariance():
     with pytest.raises(UnsupportedQueryError):
-        sb.moment_ratios(dist.DistributionSpec("rademacher-vec", 4), p=2.0)
+        sb.moment_ratios(dist.DistributionSpec("rademacher-vec", 4))
 
 
 def test_moment_ratios_empirical_close_to_analytic(gauss_samples):
-    r = sb.moment_ratios(gauss_samples, p=2.0, budget=192, rng=6)
+    r = sb.moment_ratios(gauss_samples, budget=192, rng=6)
     assert r.alpha == pytest.approx(GAUSS_ALPHA, rel=0.02)
     assert r.beta_p == pytest.approx(GAUSS_BETA2, rel=0.02)
     assert r.beta_p >= 1.0
-    assert not r.degenerate
 
 
 def test_moment_ratios_rademacher_n1():
     spec = dist.DistributionSpec("rademacher-vec", 1)
     x = dist.sample_matrix(spec, 4000, np.random.default_rng(3))
-    r = sb.moment_ratios(x, p=2.0, budget=32, rng=1)
+    r = sb.moment_ratios(x, budget=32, rng=1)
     assert r.alpha == pytest.approx(1.0, abs=1e-12)
     assert r.beta_p == pytest.approx(1.0, abs=1e-12)
 
@@ -131,44 +130,40 @@ def test_moment_ratios_khintchine_extreme_direction():
     # sqrt(2), attained at the diagonal; the search should find it
     spec = dist.DistributionSpec("rademacher-vec", 2)
     x = dist.sample_matrix(spec, 40000, np.random.default_rng(4))
-    r = sb.moment_ratios(x, p=2.0, budget=256, rng=5)
+    r = sb.moment_ratios(x, budget=256, rng=5)
     assert r.beta_p == pytest.approx(math.sqrt(2), abs=0.03)
     # in higher dimension the ratio stays below sqrt(2)
     x4 = dist.sample_matrix(dist.DistributionSpec("rademacher-vec", 4), 40000, np.random.default_rng(4))
-    r4 = sb.moment_ratios(x4, p=2.0, budget=256, rng=5)
+    r4 = sb.moment_ratios(x4, budget=256, rng=5)
     assert r4.beta_p <= math.sqrt(2) + 0.03
 
 
 def test_moment_ratios_degenerate_zero_vector():
     x = np.zeros((1000, 3))
-    r = sb.moment_ratios(x, p=2.0, budget=32, rng=2)
+    r = sb.moment_ratios(x, budget=32, rng=2)
     assert r.alpha == 0.0
-    assert r.degenerate
 
 
 def test_paley_zygmund_gaussian_number():
-    r = sb.MomentRatios(alpha=GAUSS_ALPHA, beta_p=GAUSS_BETA2, p=2.0)
-    val, vac = sb.paley_zygmund_lower(r, 0.2)
-    assert not vac
+    r = sb.MomentRatios(alpha=GAUSS_ALPHA, beta_p=GAUSS_BETA2)
+    val = sb.paley_zygmund_lower(r, 0.2)
     assert val == pytest.approx(0.357, abs=5e-4)
     # the bound sits below the true tail
     assert val <= dist.theoretical_tail(dist.DistributionSpec("gaussian-iid", 2), 0.2)
 
 
 def test_paley_zygmund_limits_and_plugin():
-    r = sb.MomentRatios(alpha=1.0, beta_p=1.0, p=2.0)
-    assert sb.paley_zygmund_lower(r, 0.5).value == pytest.approx(0.25, abs=1e-15)
-    # u -> 0 limit is (1/beta_p)^q
-    r2 = sb.MomentRatios(alpha=1.0, beta_p=2.0, p=2.0)
-    assert sb.paley_zygmund_lower(r2, 1e-12).value == pytest.approx(0.25, rel=1e-6)
+    r = sb.MomentRatios(alpha=1.0, beta_p=1.0)
+    assert sb.paley_zygmund_lower(r, 0.5) == pytest.approx(0.25, abs=1e-15)
+    # u -> 0 limit is (1/beta_p)^2
+    r2 = sb.MomentRatios(alpha=1.0, beta_p=2.0)
+    assert sb.paley_zygmund_lower(r2, 1e-12) == pytest.approx(0.25, rel=1e-6)
 
 
 def test_paley_zygmund_vacuous_beyond_alpha():
-    r = sb.MomentRatios(alpha=0.5, beta_p=1.5, p=2.0)
-    val, vac = sb.paley_zygmund_lower(r, 0.5)
-    assert val == 0.0 and vac
-    val, vac = sb.paley_zygmund_lower(r, 0.7)
-    assert val == 0.0 and vac
+    r = sb.MomentRatios(alpha=0.5, beta_p=1.5)
+    assert sb.paley_zygmund_lower(r, 0.5) == 0.0
+    assert sb.paley_zygmund_lower(r, 0.7) == 0.0
 
 
 def test_pz_sandwich_analytic_no_mc_noise():
@@ -179,18 +174,18 @@ def test_pz_sandwich_analytic_no_mc_noise():
         dist.DistributionSpec("heavy-radial", 4, eta=2.0),
         dist.DistributionSpec("atomic-mixture", 4, mixture_p=0.3),
     ):
-        r = sb.moment_ratios(spec, p=2.0)
+        r = sb.moment_ratios(spec)
         for u in np.linspace(0.0, 1.2, 13):
-            assert sb.paley_zygmund_lower(r, u).value <= dist.theoretical_tail(spec, u) + 1e-12
+            assert sb.paley_zygmund_lower(r, u) <= dist.theoretical_tail(spec, u) + 1e-12
 
 
 def test_pz_validity_on_empirical_data(gauss_samples):
     # empirical PZ bound never exceeds the empirical tail at the minimizing
     # direction by more than 3 binomial stderr
-    r = sb.moment_ratios(gauss_samples, p=2.0, budget=128, rng=11)
+    r = sb.moment_ratios(gauss_samples, budget=128, rng=11)
     m = len(gauss_samples)
     for u in (0.1, 0.3, 0.5):
-        pz = sb.paley_zygmund_lower(r, u).value
+        pz = sb.paley_zygmund_lower(r, u)
         q = _tail(gauss_samples, r.alpha_dir, u)
         assert pz <= q + 3 * math.sqrt(max(q * (1 - q), 1e-12) / m)
 
@@ -251,7 +246,7 @@ def test_seeded_searches_pinned(family, kw, seed, upper, indices, q, alpha, beta
     assert [v.hex() for v in curve.upper.tolist()] == upper
     assert curve.dir_indices.tolist() == indices
     assert sb.q_inf_search(x, 0.5, budget=64, rng=seed)[0].hex() == q
-    r = sb.moment_ratios(x, p=2.0, budget=64, rng=seed)
+    r = sb.moment_ratios(x, budget=64, rng=seed)
     assert (r.alpha.hex(), r.beta_p.hex()) == (alpha, beta)
 
 
@@ -259,8 +254,8 @@ def test_seeded_searches_pinned(family, kw, seed, upper, indices, q, alpha, beta
 # row blocks, when they built the whole samples x directions matrix (recorded
 # on numpy 2.4.6, OpenBLAS 0.3.31, one BLAS thread), floats in hex: curve
 # upper, lower, dir_indices and argmin_dirs at u = 0.1/0.4/0.8; q_inf_search
-# at u = 0.5 (value, direction); moment_ratios at p = 2 and p = 3 (alpha,
-# beta_p, alpha_dir, beta_dir).  Budget 60 at n = 3 leaves 6 refinement steps
+# at u = 0.5 (value, direction); moment_ratios (alpha, beta_p, alpha_dir,
+# beta_dir).  Budget 60 at n = 3 leaves 6 refinement steps
 # and a 60-direction final pool; N = 3293 = 3 * (2**16 // 60) + 17 rows then
 # span three full blocks and a ragged one, while 200 rows fit in one block.
 # The heavy-radial rows come from ``recorded_sample_matrix``.
@@ -272,12 +267,8 @@ STREAMED_PINS = [
         [38, 38, 38],
         ["0x1.a2f1fd047dadep-2", "-0x1.94674aa2351cdp-1", "-0x1.d3dbef4e2d798p-2"] * 3,
         ("0x1.5725b447d5165p-1", ["-0x1.10a3926dd0b4ep-1", "0x1.7a7c4634fc604p-1", "0x1.a6303d23d6c23p-2"]),
-        [
-            ["0x1.a58900fbb7e40p-1", "0x1.33bb3bf2274f3p+0", "-0x1.c3f83f42a2a9ep-2", "0x1.8270c7c06a01cp-1",
-             "0x1.f0f1e1f55ebbcp-2", "-0x1.c3f83f42a2a9ep-2", "0x1.8270c7c06a01cp-1", "0x1.f0f1e1f55ebbcp-2"],
-            ["0x1.a5be66495d350p-1", "0x1.629285895b286p+0", "-0x1.8c44798914784p-2", "0x1.9c6a0604f5c06p-1",
-             "0x1.cb9269147049bp-2", "0x1.94d667489645dp-2", "0x1.c667c47c60470p-1", "0x1.e4c017d34b840p-3"],
-        ],
+        ["0x1.a58900fbb7e40p-1", "0x1.33bb3bf2274f3p+0", "-0x1.c3f83f42a2a9ep-2", "0x1.8270c7c06a01cp-1",
+         "0x1.f0f1e1f55ebbcp-2", "-0x1.c3f83f42a2a9ep-2", "0x1.8270c7c06a01cp-1", "0x1.f0f1e1f55ebbcp-2"],
     ),
     (
         "gaussian-iid", {}, 4, 200,
@@ -287,13 +278,8 @@ STREAMED_PINS = [
         ["0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"] * 2
         + ["0x1.c353f8a221641p-2", "0x1.8b220705c5fa3p-1", "-0x1.5716aeef90730p-2", "0x1.4063980af6972p-2"],
         ("0x1.1c28f5c28f5c3p-1", ["0x1.02edb8f968f15p-1", "0x1.e54a95c510837p-2", "-0x1.5f17c7bb0524ep-1", "0x1.c74ff9de4c8ffp-3"]),
-        [
-            ["0x1.61d2e9d3d1b84p-1", "0x1.4b8f816360ee5p+0", "0x1.ac39545b02f02p-1", "-0x1.00cb966bc088fp-2",
-             "0x1.286e4be76a031p-4", "-0x1.ed98a3bfdd7cbp-2", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"],
-            ["0x1.681d6f957c1d2p-1", "0x1.8b2e4aeebcfbap+0", "0x1.1210d9ff04fedp-1", "-0x1.7db4efad767eep-1",
-             "-0x1.f17fb11d5e24ap-3", "-0x1.41a363bf69b5fp-2", "0x1.0069f56eca053p-2", "0x1.3653142ddb74dp-1",
-             "0x1.68d1bec464f64p-1", "-0x1.153caaff3dad6p-2"],
-        ],
+        ["0x1.61d2e9d3d1b84p-1", "0x1.4b8f816360ee5p+0", "0x1.ac39545b02f02p-1", "-0x1.00cb966bc088fp-2",
+         "0x1.286e4be76a031p-4", "-0x1.ed98a3bfdd7cbp-2", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"],
     ),
 ]
 
@@ -312,9 +298,8 @@ def test_streamed_estimators_reproduce_dense_outputs(family, kw, n, N, upper, lo
     assert curve.dir_indices.tolist() == indices and _hex(curve.argmin_dirs) == argmin_dirs
     value, direction = sb.q_inf_search(x, 0.5, budget=60, rng=9)
     assert (value.hex(), _hex(direction)) == q
-    for p, seed, expected in zip((2.0, 3.0), (10, 11), ratios):
-        r = sb.moment_ratios(x, p=p, budget=60, rng=seed)
-        assert _hex([r.alpha, r.beta_p]) + _hex(r.alpha_dir) + _hex(r.beta_dir) == expected
+    r = sb.moment_ratios(x, budget=60, rng=10)
+    assert _hex([r.alpha, r.beta_p]) + _hex(r.alpha_dir) + _hex(r.beta_dir) == ratios
 
 
 def test_curve_projects_each_direction_once(monkeypatch):
