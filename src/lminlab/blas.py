@@ -5,11 +5,11 @@ product can change in the last ulp with ``OPENBLAS_NUM_THREADS``.  Code whose
 seeded output must not depend on that count runs its BLAS calls inside
 ``_single_threaded_blas``, which pins the OpenBLAS numpy calls (lminlab
 runs on numpy alone and never loads scipy's own OpenBLAS).  The sweep, the
-estimators in ``smallball`` and ``rademacher``, ``spectrum.lambda_min_power``
-and ``lminlab spectrum`` hold it.  The estimators also walk their samples in
-fixed row blocks (``row_blocks``), so their memory is bounded by the block
-size and each block's product takes the same BLAS path whatever the total
-row count.
+estimators in ``smallball`` and ``rademacher``, ``verify``'s spectral check,
+``spectrum.lambda_min_power`` and ``lminlab spectrum`` hold it.  The
+estimators also walk their samples in fixed row blocks (``row_blocks``), so
+their memory is bounded by the block size and each block's product takes
+the same BLAS path whatever the total row count.
 """
 
 from __future__ import annotations

@@ -412,7 +412,8 @@ def fit_exponent(rows, regime: str = "eta-gt-2") -> FitResult:
     regime's rate variable from ``_FIT_RATES``.
 
     A row is usable when its deficit and its rate are positive (below eta = 2
-    the rate is 0 at beta = 1); the others are excluded and counted.  At
+    the rate is 0 at beta = 1) and its rate is finite (1/beta overflows at a
+    subnormal beta); the others are excluded and counted.  At
     least 4 usable rows with at least 2 distinct betas are required.  A
     non-finite beta or deficit is an input error.  The half-width is 2
     standard errors of the slope.
@@ -424,7 +425,7 @@ def fit_exponent(rows, regime: str = "eta-gt-2") -> FitResult:
     for b, d in rows:
         if not (math.isfinite(b) and math.isfinite(d)):
             raise InvalidInputError(f"fit rows must be finite, got beta={b}, deficit={d}")
-    usable = [(b, d) for b, d in rows if d > 0 and b > 0 and rate(b) > 0]
+    usable = [(b, d) for b, d in rows if d > 0 and b > 0 and 0 < rate(b) < math.inf]
     if len(usable) < 4:
         raise CalibrationUnavailableError(
             f"need >= 4 rows with positive deficit and rate, got {len(usable)}"
@@ -659,14 +660,23 @@ def verify_suite(budget: int = 100) -> VerifyReport:
     if n_spec < 5:
         checks.append(CheckResult("spectral-cross-method", "skipped", f"budget {budget} < 5"))
     else:
-        worst = 0.0
-        for _ in range(n_spec):
-            vals = rng.standard_normal((20, 10)) / np.sqrt(20)
-            m = sp.SampleMatrix(20, 10, vals, SeedRecord(0))
-            r = sp.lambda_extremes(m)
-            p = sp.lambda_min_power(m)
-            worst = max(worst, abs(p - r.lambda_min**2) / r.lambda_min**2)
-        add("spectral-cross-method", worst <= 1e-8, f"worst relative gap {worst:.3g} over {n_spec}")
+        # the sweep's eigenvalue-only solve, certified by inertia brackets
+        held, worst = 0, 0.0
+        with _single_threaded_blas:
+            for _ in range(n_spec):
+                vals = rng.standard_normal((20, 10)) / np.sqrt(20)
+                m = sp.SampleMatrix(20, 10, vals, SeedRecord(0))
+                r = sp.lambda_extremes(m, vectors=False)
+                g = sp.gram(m)
+                w = sp.inertia_bracket(g, r.lambda_min**2)
+                if w is not None and sp.inertia_bracket(g, r.lambda_max**2, upper=True) is not None:
+                    held += 1
+                    worst = max(worst, w / r.lambda_min**2)
+        add(
+            "spectral-cross-method",
+            held == n_spec and worst <= 1e-8,
+            f"bracket held on {held} of {n_spec}, worst relative half-width {worst:.3g}",
+        )
 
     if budget < 20:
         checks.append(CheckResult("rademacher-exact-vs-mc", "skipped", f"budget {budget} < 20"))

@@ -61,7 +61,8 @@ def rademacher_linear(
 
     ``method`` is "auto" (exact enumeration when N <= 14, else Monte Carlo),
     "exact", or "mc".  Exact results have stderr 0; Monte Carlo needs
-    ``draws`` >= 2 for its standard error.
+    ``draws`` >= 2 for its standard error, and a ``draws`` beyond numpy's
+    largest array size raises ``InvalidParameterError``.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.size == 0:
@@ -81,6 +82,10 @@ def rademacher_linear(
 
     if draws < 2:
         raise InvalidParameterError(f"draws must be >= 2 for a standard error, got {draws}")
+    if draws > np.iinfo(np.intp).max:
+        raise InvalidParameterError(
+            f"draws has {len(str(draws))} digits, beyond numpy's array size limit {np.iinfo(np.intp).max}"
+        )
     rng = as_generator(rng)
     norms = np.empty(draws)
     buffer = np.empty((0, N))

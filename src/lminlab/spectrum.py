@@ -8,9 +8,11 @@ the rows themselves.  Gaussian-iid sweep trials are solved in batches by
 each factor, elementwise numpy with no BLAS or LAPACK, and no dense matrix.
 Every other extreme is computed from the n x n Gram matrix with a symmetric
 eigensolver: eigenvalues only for sweep trials, which report nothing else,
-and eigenpairs with a residual for ``lminlab spectrum`` and ``verify``.  An
-independent inverse-power path, an LU inverse plus shifted solves on numpy
-alone, cross-validates the smallest eigenvalue.  At desk scale (n <= ~500)
+and eigenpairs with a residual for ``lminlab spectrum``.  ``verify``
+certifies the sweep's eigenvalue-only solve by ``inertia_bracket``: two
+Cholesky factorizations around each extreme, by Sylvester's law of
+inertia.  An inverse-power path, an LU inverse plus shifted solves on numpy
+alone, serves only ``lminlab spectrum --power``.  At desk scale (n <= ~500)
 the Gram route is the fast one and its squaring loss is irrelevant above
 ~1e-6.  A Gram or a factor with a non-finite entry is an input error on
 every path.
@@ -195,6 +197,38 @@ def lambda_extremes(m: SampleMatrix, vectors: bool = True) -> SpectralResult:
     return SpectralResult(lambda_min=lam_min, lambda_max=lam_max, method="sym-eig", residual=res / scale)
 
 
+# half-width of an inertia bracket, in units of n * eps * max diag G
+_BRACKET_K = 16
+
+
+def inertia_bracket(g: np.ndarray, mu: float, upper: bool = False) -> float | None:
+    """Half-width w of a Sylvester-inertia bracket of the estimate ``mu`` of
+    the smallest eigenvalue of the symmetric ``g`` (the largest with
+    ``upper``), or None when the bracket fails.
+
+    A Cholesky factorization exists exactly when a symmetric matrix is
+    positive definite (Sylvester's law of inertia), and it is backward
+    stable, so two factorizations locate an eigenvalue: G - (mu - w) I must
+    factor and G - (mu + w) I must not; with ``upper``, (mu + w) I - G must
+    and (mu - w) I - G must not.  w = ``_BRACKET_K`` * n * eps * max diag G,
+    a few times the round-off of a zero eigenvalue, so a rank-deficient Gram
+    brackets at mu = 0 and a zero matrix never brackets.
+    """
+    n = g.shape[0]
+    w = _BRACKET_K * n * _EPS * float(g.diagonal().max())
+    sign = -1.0 if upper else 1.0
+    ident = np.eye(n)
+
+    def definite(shift):
+        try:
+            np.linalg.cholesky(sign * (g - shift * ident))
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    return w if definite(mu - sign * w) and not definite(mu + sign * w) else None
+
+
 def bidiagonal_extremes(diag, sub) -> tuple[np.ndarray, np.ndarray]:
     """Extreme singular values of a batch of n x n lower-bidiagonal factors.
 
@@ -306,10 +340,10 @@ _POWER_MAX_ITER = 20000
 def lambda_min_power(m: SampleMatrix) -> float:
     """Smallest eigenvalue of the Gram matrix by inverse iteration.
 
-    Independent validation path for ``lambda_extremes`` (compare against
-    lambda_min**2): the Gram is inverted once by LU, not by the symmetric
-    eigensolver.  Unshifted inverse iteration runs until the Rayleigh
-    quotient changes by at most ``_POWER_TOL`` (relative), then two
+    The path of ``lminlab spectrum --power``, its only caller (compare
+    against lambda_min**2): the Gram is inverted once by LU, not by the
+    symmetric eigensolver.  Unshifted inverse iteration runs until the
+    Rayleigh quotient changes by at most ``_POWER_TOL`` (relative), then two
     Rayleigh-quotient steps, each a fresh shifted solve, polish the estimate
     and any error of the explicit inverse.  BLAS runs on one thread, so the
     result does not depend on the BLAS thread count.  A non-finite Gram

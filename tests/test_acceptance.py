@@ -72,7 +72,7 @@ def test_criterion_3_calibrate_then_holdout_coverage():
         N0 = math.ceil(64 / betas[0])
         anchor_lmins = np.array(
             [
-                sp.lambda_extremes(sp.assemble(spec, N0, SeedRecord(SEED, 0, t))).lambda_min
+                sp.lambda_extremes(sp.assemble(spec, N0, SeedRecord(SEED, 0, t)), vectors=False).lambda_min
                 for t in range(anchor_trials)
             ]
         )

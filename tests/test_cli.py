@@ -362,6 +362,19 @@ def test_sampling_huge_count_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert captured.out == "" and not (tmp_path / "m.bin").exists()
 
 
+def test_rademacher_huge_draws_exits_2(tmp_path, capsys):
+    """A draw count numpy cannot index is refused before anything is allocated
+    or written."""
+    out = tmp_path / "r.json"
+    argv = ["rademacher", "--family", "gaussian-iid", "--n", "3", "--N", "20", "--method", "mc"]
+    assert cli.main([*argv, "--draws", "100000000000000000000", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: draws has 21 digits, beyond numpy's array size limit {np.iinfo(np.intp).max}\n"
+    )
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -391,6 +404,18 @@ def test_unallocatable_count_exits_2(tmp_path, argv):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: Unable to allocate") and proc.stderr.count("\n") == 1
     assert proc.stdout == "" and not (tmp_path / "m.bin").exists()
+
+
+def test_fit_subnormal_beta_row_is_excluded(tmp_path, capsys):
+    """Below eta = 2 a subnormal beta has an infinite rate variable; the fit
+    leaves its row out and counts it."""
+    rows = tmp_path / "rows.csv"
+    rows.write_text("beta,deficit\n5e-324,0.5\n0.5,0.4\n0.25,0.3\n0.125,0.2\n0.0625,0.1\n")
+    rc = cli.main(["fit", "--rows", str(rows), "--regime", "eta-lt-2", "--format", "json"])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    payload = json.loads(captured.out)
+    assert (payload["n_used"], payload["n_excluded"]) == (4, 1)
 
 
 def test_fit_constant_overflow_exits_2(tmp_path, capsys):

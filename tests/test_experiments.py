@@ -20,6 +20,7 @@ import lminlab
 from lminlab import bounds as bd
 from lminlab import distributions as dist
 from lminlab import experiments as ex
+from lminlab import spectrum as sp
 from lminlab.errors import CalibrationUnavailableError, ConfigError, InvalidInputError, InvalidParameterError
 from lminlab.streams import SeedRecord
 
@@ -423,6 +424,14 @@ def test_fit_exponent_excludes_rows_without_positive_rate():
         assert fit == dataclasses.replace(ex.fit_exponent(rows, regime=regime), n_excluded=len(extra))
 
 
+def test_fit_exponent_excludes_rows_with_infinite_rate():
+    """Below eta = 2 a subnormal beta overflows 1/beta, so its rate variable
+    is infinite: the row is left out and counted, not handed to the fit."""
+    rows = [(0.5, 0.4), (0.25, 0.3), (0.125, 0.2), (0.0625, 0.1)]
+    fit = ex.fit_exponent([(5e-324, 0.5)] + rows, regime="eta-lt-2")
+    assert fit == dataclasses.replace(ex.fit_exponent(rows, regime="eta-lt-2"), n_excluded=1)
+
+
 def test_parse_config_roundtrip(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text(CONFIG_TEXT)
@@ -583,6 +592,56 @@ def test_verify_suite_mutation_detected(monkeypatch):
     report = ex.verify_suite(budget=10)
     statuses = {c.name: c.status for c in report.checks}
     assert statuses["phi-sandwich"] == "fail"
+    assert not report.ok
+
+
+def _spectral_check(report):
+    (check,) = [c for c in report.checks if c.name == "spectral-cross-method"]
+    return check
+
+
+def test_verify_spectral_check_brackets_the_sweep_solver(monkeypatch):
+    """The spectral check certifies ``lambda_extremes(m, vectors=False)`` on
+    each of its 100 matrices, and never runs the inverse iteration."""
+    seen = []
+    original = sp.lambda_extremes
+
+    def recording(m, vectors=True):
+        seen.append((m, vectors))
+        return original(m, vectors)
+
+    def forbidden(m):
+        raise AssertionError("verify ran lambda_min_power")
+
+    monkeypatch.setattr(sp, "lambda_extremes", recording)
+    monkeypatch.setattr(sp, "lambda_min_power", forbidden)
+    report = ex.verify_suite(budget=100)
+    assert report.ok
+    check = _spectral_check(report)
+    found = re.fullmatch(r"bracket held on 100 of 100, worst relative half-width (\S+)", check.detail)
+    assert check.status == "pass" and found and float(found.group(1)) <= 1e-8
+    assert len(seen) == 100 and not any(vectors for _, vectors in seen)
+    # a 1e-6 relative error at either end, either way, fails its bracket on
+    # every one
+    for m, _ in seen:
+        g = sp.gram(m)
+        r = original(m, vectors=False)
+        for factor in (1 - 1e-6, 1 + 1e-6):
+            assert sp.inertia_bracket(g, (factor * r.lambda_min) ** 2) is None
+            assert sp.inertia_bracket(g, (factor * r.lambda_max) ** 2, upper=True) is None
+
+
+def test_verify_spectral_check_detects_inflated_lambda_min(monkeypatch):
+    original = sp.lambda_extremes
+
+    def inflated(m, vectors=True):
+        r = original(m, vectors)
+        return dataclasses.replace(r, lambda_min=r.lambda_min * (1 + 1e-6))
+
+    monkeypatch.setattr(sp, "lambda_extremes", inflated)
+    report = ex.verify_suite(budget=100)
+    check = _spectral_check(report)
+    assert check.status == "fail" and check.detail.startswith("bracket held on 0 of 100,")
     assert not report.ok
 
 

@@ -82,6 +82,11 @@ def test_exact_cap_enforced():
         rad.rademacher_linear(np.ones((15, 2)), method="exact")
 
 
+def test_mc_refuses_draws_beyond_array_limit():
+    with pytest.raises(InvalidParameterError, match="array size limit"):
+        rad.rademacher_linear(np.ones((20, 2)), draws=10**20, method="mc")
+
+
 # Monte Carlo estimates as they were before the signs were drawn in blocks,
 # when one (draws, N) sign matrix was drawn at once (recorded on numpy 2.4.6,
 # OpenBLAS 0.3.31, one BLAS thread): (N, draws, value, stderr, the

@@ -99,6 +99,30 @@ def test_variational_consistency():
         assert r.lambda_min - 1e-10 <= norm <= r.lambda_max + 1e-10
 
 
+def test_inertia_bracket_exact_diagonal_gram():
+    g = np.diag([4.0, 1.0, 0.25])
+    w = sp._BRACKET_K * 3 * np.finfo(float).eps * 4.0
+    assert sp.inertia_bracket(g, 0.25) == w
+    assert sp.inertia_bracket(g, 4.0, upper=True) == w
+    # an interior eigenvalue, or an end moved by more than w, does not bracket
+    assert sp.inertia_bracket(g, 1.0) is None
+    assert sp.inertia_bracket(g, 1.0, upper=True) is None
+    for shift in (-4 * w, 4 * w):
+        assert sp.inertia_bracket(g, 0.25 + shift) is None
+        assert sp.inertia_bracket(g, 4.0 + shift, upper=True) is None
+
+
+def test_inertia_bracket_rank_deficient_gram_at_zero():
+    # N < n: a 3 x 6 matrix has a Gram of rank 3, reported as lambda_min = 0
+    m = _matrix(np.random.default_rng(4).standard_normal((3, 6)) / np.sqrt(3))
+    g = sp.gram(m)
+    r = sp.lambda_extremes(m, vectors=False)
+    assert r.lambda_min == 0.0
+    assert sp.inertia_bracket(g, 0.0) is not None
+    assert sp.inertia_bracket(g, r.lambda_max**2, upper=True) is not None
+    assert sp.inertia_bracket(g, 1e-6 * r.lambda_max**2) is None
+
+
 def test_power_iteration_diagonal():
     m = _matrix([[2.0, 0.0], [0.0, 1.0]])  # gram diag(4, 1)
     assert sp.lambda_min_power(m) == pytest.approx(1.0, rel=1e-10)
