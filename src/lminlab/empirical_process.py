@@ -15,6 +15,7 @@ Contents:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,25 +47,29 @@ def truncation_phi(u: float, t) -> float | np.ndarray:
     return float(out) if np.isscalar(t) else out
 
 
-def second_moment_identity(values) -> tuple[float, float, float]:
+def second_moment_identity(values):
     """Mean of squares vs the exact layered integral 2 int u P_N{|v|>u} du.
 
     The integral is computed piecewise over the sorted magnitudes (the
     empirical tail is a step function), giving an independent path to the same
-    quantity; returns (lhs, rhs, gap).
+    quantity; returns (lhs, rhs, gap).  Both sides reduce along the last
+    axis: a 1-D input gives three Python floats, a (k, N) batch three arrays
+    of shape (k,) whose i-th entries equal, bit for bit, the 1-D call on row i.
     """
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise InvalidInputError(f"values must be a nonempty 1-D array, got shape {v.shape}")
+    if v.ndim == 0 or v.size == 0:
+        raise InvalidInputError(f"values must be a nonempty array of at least 1 dimension, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise InvalidInputError("values must be finite")
-    lhs = float((v**2).mean())
-    mags = np.sort(np.abs(v))
-    N = len(mags)
-    edges = np.concatenate([[0.0], mags])
+    lhs = (v**2).mean(axis=-1)
+    mags = np.sort(np.abs(v), axis=-1)
+    N = mags.shape[-1]
+    edges = np.concatenate([np.zeros(mags.shape[:-1] + (1,)), mags], axis=-1)
     # On (edges[k], edges[k+1]) exactly N-k values exceed u.
     counts = N - np.arange(N)
-    rhs = float((counts * (edges[1:] ** 2 - edges[:-1] ** 2)).sum() / N)
+    rhs = (counts * (edges[..., 1:] ** 2 - edges[..., :-1] ** 2)).sum(axis=-1) / N
+    if v.ndim == 1:
+        lhs, rhs = float(lhs), float(rhs)
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -290,6 +295,19 @@ class OracleReport:
     verdict: str  # "holds" | "violated" | "not-applicable"
 
 
+@functools.cache
+def _multisets(n_atoms: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (classes, counts) of the multisets of N draws from n_atoms
+    atoms: one sorted atom-index tuple per multiset, and counts[c, a] the
+    multiplicity of atom a in multiset c.  Cached, since a battery meets
+    the same (n_atoms, N) many times."""
+    classes = np.array(list(itertools.combinations_with_replacement(range(n_atoms), N)), dtype=np.int64)
+    counts = (classes[:, :, None] == np.arange(n_atoms)).sum(axis=1)
+    classes.flags.writeable = False
+    counts.flags.writeable = False
+    return classes, counts
+
+
 def tiny_smallball_oracle(inst: FiniteInstance, tau: float) -> OracleReport:
     """Exhaustive verification of the small-ball floor on a finite instance.
 
@@ -330,10 +348,7 @@ def tiny_smallball_oracle(inst: FiniteInstance, tau: float) -> OracleReport:
         q2tau = min(q2tau, mass)
     floor = tau**2 * float(q2tau) / 2.0
 
-    # One sorted atom-index tuple per multiset; counts[c, a] is the
-    # multiplicity of atom a in multiset c.
-    classes = np.array(list(itertools.combinations_with_replacement(range(n_atoms), N)), dtype=np.int64)
-    counts = (classes[:, :, None] == np.arange(n_atoms)).sum(axis=1)
+    classes, counts = _multisets(n_atoms, N)
 
     # Exact multiset probabilities as integers over a common denominator D^N:
     # multinomial(N; counts) prod_a w_a^c_a, each term at most D^N.

@@ -22,6 +22,7 @@ draws would.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +45,16 @@ class RademacherEstimate:
     exact: bool
 
 
+@functools.cache
 def _all_sign_vectors(N: int) -> np.ndarray:
-    """(2^N, N) array of +-1 rows, bit i of the row index giving sign i."""
+    """Read-only (2^N, N) array of +-1 rows, bit i of the row index giving
+    sign i.  Cached per N: the exact paths ask for the same table again and
+    again, and it holds at most 2^14 x 14 floats."""
     idx = np.arange(1 << N, dtype=np.int64)
     bits = (idx[:, None] >> np.arange(N)) & 1
-    return bits.astype(float) * 2.0 - 1.0
+    signs = bits.astype(float) * 2.0 - 1.0
+    signs.flags.writeable = False
+    return signs
 
 
 def rademacher_linear(

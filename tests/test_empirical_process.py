@@ -11,6 +11,7 @@ from tail_constants import radial_tail_constant
 
 from lminlab import distributions as dist
 from lminlab import empirical_process as ep
+from lminlab import rademacher as rad
 from lminlab.errors import BudgetExceededError, InvalidInputError, InvalidParameterError
 
 
@@ -74,6 +75,31 @@ def test_identity_random_battery():
         v = rng.standard_normal(int(rng.integers(1, 120))) * rng.uniform(0.01, 50)
         lhs, _, gap = ep.second_moment_identity(v)
         assert gap <= 1e-12 * max(lhs, 1e-300)
+
+
+def test_identity_batch_matches_rows_bit_for_bit():
+    """A (k, N) batch gives, entry for entry, the floats of the 1-D calls on
+    its rows, for every N in 1..60, with zeros and ties among the values."""
+    rng = np.random.default_rng(7)
+    for N in range(1, 61):
+        batch = rng.standard_normal((6, N)) * rng.uniform(0.1, 10, size=(6, 1))
+        batch[1] = 0.0
+        batch[2, ::2] = 0.0
+        batch[3] = batch[3, 0]
+        batch[4] = np.round(batch[4])
+        batch[5, N // 2 :] = -batch[5, : N - N // 2]
+        sides = ep.second_moment_identity(batch)
+        assert all(side.shape == (6,) for side in sides)
+        for i, row in enumerate(batch):
+            single = ep.second_moment_identity(row)
+            assert all(type(x) is float for x in single)
+            assert single == tuple(float(side[i]) for side in sides)
+
+
+@pytest.mark.parametrize("values", [3.0, [], np.zeros((2, 0)), np.zeros((0, 3)), [[1.0, np.nan]]])
+def test_identity_rejects_bad_values(values):
+    with pytest.raises(InvalidInputError):
+        ep.second_moment_identity(values)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +365,25 @@ def test_oracle_battery_no_violations():
     assert len(reports) == 100
     assert violated == 0
     assert applicable >= 5  # the battery exercises the applicable branch
+
+
+def test_multiset_tables_are_read_only():
+    classes, counts = ep._multisets(3, 4)
+    assert classes.shape == (math.comb(6, 4), 4) and (counts.sum(axis=1) == 4).all()
+    for table in (classes, counts):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+
+def test_oracle_battery_same_cold_and_warm():
+    """The cached multiset and sign tables change no report: a battery run
+    with empty caches equals the same battery run again on full ones."""
+    battery = ep.random_instances(40, rng=3)
+    ep._multisets.cache_clear()
+    rad._all_sign_vectors.cache_clear()
+    cold = ep.oracle_battery(battery)
+    assert ep._multisets.cache_info().currsize == len({(len(inst.probs), inst.N) for inst, _ in battery})
+    assert ep.oracle_battery(battery) == cold
 
 
 def test_finite_instance_validation():

@@ -82,6 +82,23 @@ def test_sweep_seed_must_fit_64_bits(tmp_path, seed, ok):
         ex.parse_config(path)
 
 
+@pytest.mark.parametrize("trials,ok", [(10**400, False), (2**62, False), (2**62 - 1, True)])
+def test_sweep_trials_must_fit_array_limit(tmp_path, trials, ok):
+    """trials x betas beyond numpy's array size limit is refused where the
+    config is read, so a sweep never starts on it.  CONFIG_TEXT has two
+    betas, so 2^62 is the first refused trials count."""
+    path = tmp_path / "cfg.ini"
+    path.write_text(CONFIG_TEXT.replace("trials = 4", f"trials = {trials}"))
+    if ok:
+        assert ex.parse_config(path).trials == trials
+        return
+    message = r"trials x 2 betas is beyond numpy's array size limit 9223372036854775807 \(trials has \d+ digits\)"
+    with pytest.raises(InvalidParameterError, match=message):
+        small_config(trials=trials)
+    with pytest.raises(ConfigError, match=r"bad \[sweep\] section: " + message):
+        ex.parse_config(path)
+
+
 def test_run_sweep_deterministic_across_threads(tmp_path):
     cfg = small_config()
     r1 = ex.run_sweep(cfg, threads=1)
@@ -593,6 +610,57 @@ def test_verify_suite_mutation_detected(monkeypatch):
     statuses = {c.name: c.status for c in report.checks}
     assert statuses["phi-sandwich"] == "fail"
     assert not report.ok
+
+
+def test_verify_identity_mutation_detected(monkeypatch):
+    """A second-moment identity whose rhs is off by 1e-9 relative, patched
+    into ``empirical_process``, must make its check fail, even though it
+    returns the gap of the correct sides."""
+    original = ex.ep.second_moment_identity
+
+    def corrupted(values):
+        lhs, rhs, gap = original(values)
+        return lhs, rhs * (1 + 1e-9), gap
+
+    monkeypatch.setattr(ex.ep, "second_moment_identity", corrupted)
+    report = ex.verify_suite(budget=10)
+    statuses = {c.name: c.status for c in report.checks}
+    assert statuses["second-moment-identity"] == "fail"
+    assert not report.ok
+
+
+# Every check of verify_suite(budget) as (name, status, detail), recorded
+# before the identity check was batched and the oracle tables were cached.
+VERIFY_PINS = {
+    100: [
+        ("phi-sandwich", "pass", "worst violation 0"),
+        ("phi-lipschitz", "pass", "|phi(t1)-phi(t2)| <= |t1-t2|/u on random pairs"),
+        ("second-moment-identity", "pass", "worst relative gap 5.33e-16 over 1000"),
+        ("pz-sandwich-analytic", "pass", "u=0.1: 0.4870 <= 0.9203; u=0.2: 0.3575 <= 0.8415; u=0.4: 0.1583 <= 0.6892"),
+        ("spectral-cross-method", "pass", "bracket held on 100 of 100, worst relative half-width 1.57e-12"),
+        ("rademacher-exact-vs-mc", "pass", "worst |mc-exact|/stderr 2.16"),
+        ("tiny-oracle-battery", "pass", "100 instances, 18 applicable, 0 violated"),
+        ("isotropy-quick", "pass", "max covariance deviation 0.0175"),
+    ],
+    10: [
+        ("phi-sandwich", "pass", "worst violation 0"),
+        ("phi-lipschitz", "pass", "|phi(t1)-phi(t2)| <= |t1-t2|/u on random pairs"),
+        ("second-moment-identity", "pass", "worst relative gap 5.33e-16 over 100"),
+        ("pz-sandwich-analytic", "pass", "u=0.1: 0.4870 <= 0.9203; u=0.2: 0.3575 <= 0.8415; u=0.4: 0.1583 <= 0.6892"),
+        ("spectral-cross-method", "pass", "bracket held on 10 of 10, worst relative half-width 7.19e-13"),
+        ("rademacher-exact-vs-mc", "skipped", "budget 10 < 20"),
+        ("tiny-oracle-battery", "pass", "10 instances, 3 applicable, 0 violated"),
+        ("isotropy-quick", "pass", "max covariance deviation 0.0146"),
+    ],
+}
+
+
+@pytest.mark.parametrize("budget", sorted(VERIFY_PINS))
+def test_verify_report_pinned(budget):
+    """Every check's name, status and detail is pinned, so a change to the
+    order in which verify draws from its generator shows here."""
+    report = ex.verify_suite(budget)
+    assert [(c.name, c.status, c.detail) for c in report.checks] == VERIFY_PINS[budget]
 
 
 def _spectral_check(report):

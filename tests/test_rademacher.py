@@ -17,6 +17,14 @@ def test_single_row_unit_vector():
     assert est.exact and est.stderr == 0.0
 
 
+def test_sign_table_is_cached_and_read_only():
+    signs = rad._all_sign_vectors(3)
+    assert rad._all_sign_vectors(3) is signs
+    assert signs.tolist() == [[2.0 * ((i >> j) & 1) - 1.0 for j in range(3)] for i in range(8)]
+    with pytest.raises(ValueError):
+        signs[0, 0] = 1.0
+
+
 def test_two_equal_rows_enumeration():
     # e1 twice: ++/-- give norm 1, +-/-+ give 0, so the average is 1/2
     rows = np.array([[1.0, 0.0], [1.0, 0.0]])
