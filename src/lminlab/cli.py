@@ -197,8 +197,7 @@ def cmd_sweep(args) -> int:
     result = ex.run_sweep(cfg, threads=args.threads)
     # a value the result JSON cannot hold fails the sweep before any output
     # is written, so the three files never disagree
-    doc = result.to_json_dict()
-    ex.require_finite(doc)
+    text = ex.json_text(result.to_json_dict())
     if rows_path:
         result.rows_csv(rows_path)
         print(f"wrote {len(result.rows)} trial rows to {rows_path}")
@@ -206,7 +205,8 @@ def cmd_sweep(args) -> int:
         result.summary_csv(summary_path)
         print(f"wrote {len(result.summaries)} summaries to {summary_path}")
     if json_path:
-        ex.write_json(doc, json_path)
+        with ex.open_output(json_path) as fh:
+            fh.write(text)
         print(f"wrote result json to {json_path}")
     if result.failures:
         print(f"{len(result.failures)} trial(s) failed", file=sys.stderr)

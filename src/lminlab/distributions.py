@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, UnsupportedQueryError
-from .streams import as_generator
+from .streams import _SIGN_CHUNK, as_generator, fill_signs
 
 FAMILIES = (
     "gaussian-iid",
@@ -103,6 +103,7 @@ def sample_matrix(spec: DistributionSpec, m: int, rng: np.random.Generator | int
 
     - gaussian-iid: one (m, n) block of standard normals
     - heavy-iid: (m, n) uniforms for magnitudes, then (m, n) sign bits
+      (magnitudes computed in place, signs multiplied in a chunk at a time)
     - heavy-radial: (m, n) normals for directions, then m uniforms for radii;
       for n > 1 each normal row g_i is scaled in place, in one pass, by
       sqrt(n) * rho_i / ||g_i||, with the norm from a row-wise ``einsum``
@@ -113,7 +114,10 @@ def sample_matrix(spec: DistributionSpec, m: int, rng: np.random.Generator | int
       depend on the coin outcomes)
     - uniform-cube: one (m, n) uniform block on [-sqrt(3), sqrt(3)]
 
-    An ``m * n`` beyond numpy's largest array size raises
+    Sign bits come from ``streams.fill_signs``, which draws them as one
+    ``integers(0, 2, (m, n))`` call would, so heavy-iid and rademacher-vec
+    hold their output and one chunk of signs; atomic-mixture scales its
+    normals in place.  An ``m * n`` beyond numpy's largest array size raises
     ``InvalidParameterError``.
     """
     n = spec.n
@@ -130,10 +134,16 @@ def sample_matrix(spec: DistributionSpec, m: int, rng: np.random.Generator | int
         return rng.standard_normal((m, n))
 
     if fam == "heavy-iid":
-        u0 = pareto_threshold(spec.eta)
-        mags = u0 * (1.0 - rng.random((m, n))) ** (-1.0 / (2.0 + spec.eta))
-        signs = rng.integers(0, 2, size=(m, n)) * 2.0 - 1.0
-        return signs * mags
+        out = rng.random((m, n))
+        np.subtract(1.0, out, out=out)
+        np.power(out, -1.0 / (2.0 + spec.eta), out=out)
+        out *= pareto_threshold(spec.eta)
+        flat = out.reshape(-1)
+        signs = np.empty(min(flat.size, _SIGN_CHUNK))
+        for start in range(0, flat.size, _SIGN_CHUNK):
+            chunk = flat[start : start + _SIGN_CHUNK]
+            chunk *= fill_signs(rng, signs[: chunk.size])
+        return out
 
     if fam == "heavy-radial":
         g = rng.standard_normal((m, n))
@@ -149,12 +159,13 @@ def sample_matrix(spec: DistributionSpec, m: int, rng: np.random.Generator | int
         return g
 
     if fam == "rademacher-vec":
-        return rng.integers(0, 2, size=(m, n)) * 2.0 - 1.0
+        return fill_signs(rng, np.empty((m, n)))
 
     if fam == "atomic-mixture":
         p = spec.mixture_p
         coin = rng.random(m) < p
-        g = rng.standard_normal((m, n)) / math.sqrt(1.0 - p)
+        g = rng.standard_normal((m, n))
+        g /= math.sqrt(1.0 - p)
         g[coin] = 0.0
         return g
 

@@ -421,7 +421,7 @@ def random_instances(
             scale = 4.0 if kind < 0.5 else 0.8
             funcs = tuple(
                 tuple(
-                    float(np.round(rng.standard_normal() * scale, 3)) * int(rng.random() > 0.2)
+                    float(np.float64(rng.standard_normal() * scale).round(3)) * int(rng.random() > 0.2)
                     for _ in range(n_atoms)
                 )
                 for _ in range(n_funcs)

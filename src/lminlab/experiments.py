@@ -21,6 +21,7 @@ import configparser
 import contextlib
 import csv
 import inspect
+import itertools
 import json
 import math
 import os
@@ -178,23 +179,32 @@ def open_output(path=None):
 
 
 def write_json(obj, path=None, end: str = "") -> None:
-    """Write ``obj`` as JSON indented by one space, then ``end``, to the
-    file ``path``, or to stdout when ``path`` is None.  A NaN or infinite
-    float, which JSON cannot hold, raises ``LminlabError`` naming its key
-    before anything is written, never ``NaN`` or ``Infinity``."""
-    require_finite(obj)
+    """Write ``json_text(obj)``, then ``end``, to the file ``path``, or to
+    stdout when ``path`` is None; nothing is written when it raises."""
+    text = json_text(obj)
     with open_output(path) as fh:
-        json.dump(obj, fh, indent=1, allow_nan=False)
-        fh.write(end)
+        fh.write(text + end)
 
 
-def require_finite(obj) -> None:
-    """Raise ``LminlabError`` naming the key of the first NaN or infinite
-    float in ``obj``, a value JSON cannot hold."""
-    found = _nonfinite(obj)
-    if found is not None:
+def json_text(obj) -> str:
+    """``obj`` as JSON indented by one space.  A NaN or infinite float,
+    which JSON cannot hold, raises ``LminlabError`` naming its key, never
+    ``NaN`` or ``Infinity``: the encoder finds it, and only then is the
+    document walked again for the key.  The encoder's small pieces are
+    joined 256 at a time: ``json.dumps`` holds them all at once, about 0.8 MB
+    for a 500-row sweep result of 110 KB."""
+    pieces = json.JSONEncoder(indent=1, allow_nan=False).iterencode(obj)
+    parts = []
+    try:
+        while block := "".join(itertools.islice(pieces, 256)):
+            parts.append(block)
+    except ValueError:
+        found = _nonfinite(obj)
+        if found is None:
+            raise
         key, value = found
-        raise LminlabError(f"{key.lstrip('.')} is {value}, which JSON cannot hold")
+        raise LminlabError(f"{key.lstrip('.')} is {value}, which JSON cannot hold") from None
+    return "".join(parts)
 
 
 def _nonfinite(obj):

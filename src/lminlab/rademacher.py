@@ -12,12 +12,17 @@ average.  Generic-class Rademacher estimation is out of scope.
 The Monte Carlo path draws its sign vectors in blocks of at most
 ``_BLOCK_ELEMENTS`` signs, with BLAS pinned to one thread, so its memory does
 not grow with draws x N and its output does not depend on the BLAS thread
-count.  Every block's signs are written into one float buffer: a fresh block
-array each time would be returned to the OS and faulted back in per block.
-Each block has an even number of rows: the generator makes integers in
-[0, 2) from 32-bit halves of its 64-bit outputs and drops an unused half at
-the end of a call, so even blocks leave it in the state one call for all
-draws would.
+count.  Every block's signs are written by ``streams.fill_signs`` into one
+float buffer, so the path holds one sign block and one chunk of draws: a
+fresh block array each time would be returned to the OS and faulted back in
+per block.  The blocks leave the generator in the state one call for all
+draws would, whatever their sizes, since it keeps the spare 32-bit half of
+an output in its state between calls.  Each block still has an even number
+of rows because the row count fixes the BLAS block layout, and the results
+pinned in the tests were recorded on that layout: the product rounds
+differently with other block lengths (on 2049 Gaussian rows in dimension 1,
+blocks of 511 rows instead of 510 move the estimate by one ulp; in
+dimension 4, blocks of 64 rows instead of 256 do).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 
 from . import blas
 from .errors import InvalidInputError, InvalidParameterError
-from .streams import as_generator
+from .streams import as_generator, fill_signs
 
 EXACT_MAX_N = 14
 DEFAULT_DRAWS = 2000
@@ -99,9 +104,7 @@ def rademacher_linear(
         for block in blas.row_blocks(draws, N, _BLOCK_ELEMENTS, multiple=2):
             if len(buffer) < block.stop - block.start:
                 buffer = np.empty((block.stop - block.start, N))
-            signs = buffer[: block.stop - block.start]
-            np.multiply(rng.integers(0, 2, size=signs.shape), 2.0, out=signs)
-            signs -= 1.0
+            signs = fill_signs(rng, buffer[: block.stop - block.start])
             norms[block] = np.linalg.norm(signs @ rows, axis=1) / N
     stderr = float(norms.std(ddof=1) / np.sqrt(draws))
     return RademacherEstimate(value=float(norms.mean()), stderr=stderr, draws=draws, exact=False)

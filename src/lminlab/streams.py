@@ -14,6 +14,9 @@ Derivation (all arithmetic mod 2**64)::
              return x ^ (x >> 31)
 
     derived = mix(mix(mix(master) ^ mix(beta_index)) ^ mix(trial_index))
+
+Random signs come from ``fill_signs``, which writes them into the caller's
+array a chunk at a time.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ import numpy as np
 from .errors import InvalidParameterError
 
 _MASK64 = (1 << 64) - 1
+# signs drawn per generator call by fill_signs: 256 KB of int32 draws that
+# become 512 KB of floats
+_SIGN_CHUNK = 2**16
 
 
 def splitmix64(x: int) -> int:
@@ -72,3 +78,25 @@ def as_generator(rng: np.random.Generator | int | None) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.default_rng(rng)
+
+
+def fill_signs(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous float array ``out`` with +-1 and return it.
+
+    The values, and the state ``rng`` is left in, are those of
+    ``rng.integers(0, 2, out.shape) * 2.0 - 1.0``, but no temporary is
+    larger than ``_SIGN_CHUNK`` signs.  Integers in [0, 2) take the top bit
+    of successive 32-bit outputs whatever the dtype and the call size, and
+    the generator keeps a spare 32-bit half in its state between calls, so
+    chunking does not move the stream.
+    """
+    if not out.flags.c_contiguous or out.dtype.kind != "f":
+        raise InvalidParameterError(
+            f"fill_signs needs a C-contiguous float array, got {out.dtype} with strides {out.strides}"
+        )
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _SIGN_CHUNK):
+        chunk = flat[start : start + _SIGN_CHUNK]
+        np.multiply(rng.integers(0, 2, chunk.size, dtype=np.int32), 2.0, out=chunk)
+        chunk -= 1.0
+    return out

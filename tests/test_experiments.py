@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import hashlib
 import itertools
+import json
 import math
 import os
 import re
@@ -21,7 +22,7 @@ from lminlab import bounds as bd
 from lminlab import distributions as dist
 from lminlab import experiments as ex
 from lminlab import spectrum as sp
-from lminlab.errors import CalibrationUnavailableError, ConfigError, InvalidInputError, InvalidParameterError
+from lminlab.errors import CalibrationUnavailableError, ConfigError, InvalidInputError, InvalidParameterError, LminlabError
 from lminlab.streams import SeedRecord
 
 CONFIG_TEXT = """\
@@ -719,3 +720,22 @@ def test_verify_suite_reduced_budget_skips():
     assert statuses["tiny-oracle-battery"] == "skipped"
     assert statuses["rademacher-exact-vs-mc"] == "skipped"
     assert report.ok  # skipped checks do not fail the run
+
+
+def test_json_text_is_json_dumps():
+    """Joined in blocks of encoder pieces, the text is still that of one
+    ``json.dumps``: empty containers and strings, nesting, non-ASCII, and
+    thousands of pieces."""
+    doc = {
+        "rows": [{"x": 1.5, "y": None, "z": "é", "": ""}] * 300,
+        "empty": [[], {}, ""] * 200,
+        "nested": {"a": {"b": [1, [2, [3]]]}},
+    }
+    assert ex.json_text(doc) == json.dumps(doc, indent=1, allow_nan=False)
+    assert ex.json_text([]) == "[]"
+
+
+def test_json_text_names_late_nonfinite_key():
+    doc = {"rows": [{"x": 1.0}] * 1000, "summaries": [{"floor_value": 0.5}, {"floor_value": math.inf}]}
+    with pytest.raises(LminlabError, match=r"^summaries\[1\]\.floor_value is inf, which JSON cannot hold$"):
+        ex.json_text(doc)
