@@ -10,11 +10,12 @@ Subpackages:
 - ``bounds``: floor/probability predictions with overridable constants
 - ``empirical_process``: truncation ramp, second-moment identity, VC
   brute force, exact tiny oracle
-- ``experiments``: beta-sweep harness, exponent fits, config files, CSV
-  tables, verification suite
+- ``experiments``: beta-sweep harness, exponent fits, the config file
+  reader, CSV tables, verification suite
 - ``cli``: the ``lminlab`` command line
 - ``blas``: OpenBLAS thread pinning and fixed row blocks for seeded output
-- ``streams``: per-trial splitmix64 seed substreams
+- ``streams``: per-trial splitmix64 seed substreams, the ±1 sampler and the
+  array size check
 """
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, UnsupportedQueryError
-from .streams import _SIGN_CHUNK, as_generator, fill_signs
+from .streams import _SIGN_CHUNK, as_generator, check_array_size, fill_signs
 
 FAMILIES = (
     "gaussian-iid",
@@ -117,16 +117,13 @@ def sample_matrix(spec: DistributionSpec, m: int, rng: np.random.Generator | int
     Sign bits come from ``streams.fill_signs``, which draws them as one
     ``integers(0, 2, (m, n))`` call would, so heavy-iid and rademacher-vec
     hold their output and one chunk of signs; atomic-mixture scales its
-    normals in place.  An ``m * n`` beyond numpy's largest array size raises
-    ``InvalidParameterError``.
+    normals in place.  An m x n array beyond numpy's largest array size
+    raises ``InvalidParameterError``.
     """
     n = spec.n
     if m < 1:
         raise InvalidParameterError(f"m must be >= 1, got {m}")
-    if m * n > np.iinfo(np.intp).max:
-        raise InvalidParameterError(
-            f"m * n has {len(str(m * n))} digits, beyond numpy's array size limit {np.iinfo(np.intp).max}"
-        )
+    check_array_size("m x n samples", m * n)
     rng = as_generator(rng)
     fam = spec.family
 

@@ -45,7 +45,7 @@ from .errors import (
     InvalidParameterError,
     LminlabError,
 )
-from .streams import SeedRecord, check_seed
+from .streams import SeedRecord, check_array_size, check_seed
 
 # Version of the sweep result JSON, bumped whenever a change moves its
 # fields or its seeded values.
@@ -62,7 +62,8 @@ class OutputPaths:
 def _sweep_values(beta_grid: tuple, trials: int, seed: int) -> dict:
     """The [sweep] values of a config, once checked: a nonempty grid of
     distinct betas in (0, 1], at least one trial, no more trials x betas
-    than numpy's array size limit, and a seed in [0, 2^64)."""
+    float64 values than numpy's array size limit allows, and a seed in
+    [0, 2^64)."""
     if len(beta_grid) == 0:
         raise InvalidParameterError("beta_grid must be nonempty")
     for b in beta_grid:
@@ -72,11 +73,7 @@ def _sweep_values(beta_grid: tuple, trials: int, seed: int) -> dict:
         raise InvalidParameterError(f"beta values must be distinct, got {list(beta_grid)}")
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-    if trials * len(beta_grid) > np.iinfo(np.intp).max:
-        raise InvalidParameterError(
-            f"trials x {len(beta_grid)} betas is beyond numpy's array size limit "
-            f"{np.iinfo(np.intp).max} (trials has {len(str(trials))} digits)"
-        )
+    check_array_size(f"trials x {len(beta_grid)} betas", trials * len(beta_grid))
     return {"beta_grid": beta_grid, "trials": trials, "seed": check_seed(seed)}
 
 
@@ -492,14 +489,6 @@ _FORMAT = {
 }
 
 
-def _new_parser() -> configparser.ConfigParser:
-    """A config parser that reads keys and values literally: ``n`` is not
-    ``N``, and ``%`` is a plain character."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
-    parser.optionxform = str
-    return parser
-
-
 def read_config(path) -> dict:
     """Every section of a config file, built into its object: a
     ``DistributionSpec``, the [sweep] values, a ``ConstantSet`` and
@@ -509,7 +498,9 @@ def read_config(path) -> dict:
     of them or for none: an unreadable file, an unknown section or key, a
     missing required key or a bad value raises ``ConfigError``.
     """
-    parser = _new_parser()
+    # keys and values are literal: ``n`` is not ``N``, and ``%`` is a plain character
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    parser.optionxform = str
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -551,32 +542,6 @@ def parse_config(path) -> ExperimentConfig:
         outputs=sections.get("outputs", OutputPaths()),
         **sections["sweep"],
     )
-
-
-def _format_value(value) -> str:
-    """A value as its config text; floats, numpy ones too, by ``repr`` of
-    the Python float, which reads back exactly."""
-    if isinstance(value, tuple):
-        return " ".join(repr(float(v)) for v in value)
-    return repr(float(value)) if isinstance(value, float) else str(value)
-
-
-def write_config(cfg: ExperimentConfig, path) -> None:
-    """Write ``cfg`` in the format ``parse_config`` reads back; unset
-    values are left out."""
-    objects = {
-        "distribution": vars(cfg.spec),
-        "sweep": _sweep_values(cfg.beta_grid, cfg.trials, cfg.seed),
-        "constants": vars(cfg.constants),
-        "outputs": vars(cfg.outputs),
-    }
-    parser = _new_parser()
-    for name, values in objects.items():
-        section = {key: _format_value(value) for key, value in values.items() if value is not None}
-        if section:
-            parser[name] = section
-    with open(path, "w") as fh:
-        parser.write(fh)
 
 
 # ---------------------------------------------------------------------------

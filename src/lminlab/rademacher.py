@@ -34,7 +34,7 @@ import numpy as np
 
 from . import blas
 from .errors import InvalidInputError, InvalidParameterError
-from .streams import as_generator, fill_signs
+from .streams import as_generator, check_array_size, fill_signs
 
 EXACT_MAX_N = 14
 DEFAULT_DRAWS = 2000
@@ -93,10 +93,7 @@ def rademacher_linear(
 
     if draws < 2:
         raise InvalidParameterError(f"draws must be >= 2 for a standard error, got {draws}")
-    if draws > np.iinfo(np.intp).max:
-        raise InvalidParameterError(
-            f"draws has {len(str(draws))} digits, beyond numpy's array size limit {np.iinfo(np.intp).max}"
-        )
+    check_array_size("draws", draws)
     rng = as_generator(rng)
     norms = np.empty(draws)
     buffer = np.empty((0, N))

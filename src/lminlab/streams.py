@@ -49,6 +49,15 @@ def check_seed(seed: int) -> int:
     return seed
 
 
+def check_array_size(what: str, count: int) -> None:
+    """Refuse ``count`` float64 values, named ``what``, that no numpy array
+    can hold: numpy limits an array's bytes, not its elements, to the largest
+    ``np.intp``."""
+    limit = np.iinfo(np.intp).max
+    if count * 8 > limit:
+        raise InvalidParameterError(f"{what} at 8 bytes each exceed numpy's array size limit of {limit} bytes")
+
+
 def substream_seed(master: int, beta_index: int = 0, trial_index: int = 0) -> int:
     """Derive the 64-bit substream seed for one trial of one grid point."""
     h = splitmix64(master & _MASK64)

@@ -1,9 +1,11 @@
 """CLI smoke tests through the argparse entry point."""
 
+import argparse
 import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -357,7 +359,7 @@ def test_sampling_huge_count_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert cli.main([*argv, "--family", "gaussian-iid", "--n", "4"]) == 2
     captured = capsys.readouterr()
     assert captured.err == (
-        f"error: m * n has 401 digits, beyond numpy's array size limit {np.iinfo(np.intp).max}\n"
+        f"error: m x n samples at 8 bytes each exceed numpy's array size limit of {np.iinfo(np.intp).max} bytes\n"
     )
     assert captured.out == "" and not (tmp_path / "m.bin").exists()
 
@@ -370,8 +372,30 @@ def test_rademacher_huge_draws_exits_2(tmp_path, capsys):
     assert cli.main([*argv, "--draws", "100000000000000000000", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err == (
-        f"error: draws has 21 digits, beyond numpy's array size limit {np.iinfo(np.intp).max}\n"
+        f"error: draws at 8 bytes each exceed numpy's array size limit of {np.iinfo(np.intp).max} bytes\n"
     )
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rademacher", "--n", "1", "--N", "15", "--draws", str(2**63 - 1)],
+        ["rademacher", "--n", "1", "--N", "15", "--draws", str(2**60)],
+        ["rademacher", "--n", "1", "--N", str(2**63 - 1), "--draws", "4"],
+        ["sample", "--n", "1", "--N", str(2**63 - 1)],
+    ],
+    ids=["rademacher-draws-intp-max", "rademacher-draws-2^60", "rademacher-N-intp-max", "sample-N-intp-max"],
+)
+def test_count_within_elements_but_beyond_bytes_exits_2(tmp_path, capsys, argv):
+    """numpy limits an array's bytes, not its elements: a count that numpy
+    could index but whose float64 values it cannot hold exits 2 with one
+    ``error:`` line, before anything is written."""
+    out = tmp_path / "out.bin"
+    assert cli.main([*argv, "--family", "gaussian-iid", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "numpy's array size limit" in captured.err
     assert captured.out == "" and not out.exists()
 
 
@@ -709,3 +733,17 @@ def test_nonfinite_sweep_result_writes_no_output(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     for name, path in outputs.items():
         assert path.read_bytes() == f"earlier {name}\n".encode()
+
+
+def test_readme_names_every_subcommand_and_flag():
+    """README.md shows every subcommand as a ``lminlab`` command line and
+    names every long flag the parser declares."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    missing = []
+    for name, parser in commands.choices.items():
+        if f"lminlab {name}" not in readme:
+            missing.append(name)
+        flags = {o for action in parser._actions for o in action.option_strings if o.startswith("--")}
+        missing += [f for f in sorted(flags - {"--help"}) if not re.search(rf"(?<![\w-]){f}(?![\w-])", readme)]
+    assert missing == []

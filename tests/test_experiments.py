@@ -83,17 +83,18 @@ def test_sweep_seed_must_fit_64_bits(tmp_path, seed, ok):
         ex.parse_config(path)
 
 
-@pytest.mark.parametrize("trials,ok", [(10**400, False), (2**62, False), (2**62 - 1, True)])
+@pytest.mark.parametrize("trials,ok", [(10**400, False), (2**59, False), (2**59 - 1, True)])
 def test_sweep_trials_must_fit_array_limit(tmp_path, trials, ok):
-    """trials x betas beyond numpy's array size limit is refused where the
-    config is read, so a sweep never starts on it.  CONFIG_TEXT has two
-    betas, so 2^62 is the first refused trials count."""
+    """trials x betas float64 values beyond numpy's array size limit are
+    refused where the config is read, so a sweep never starts on them.
+    CONFIG_TEXT has two betas, so 2^59 (2^63 bytes) is the first refused
+    trials count."""
     path = tmp_path / "cfg.ini"
     path.write_text(CONFIG_TEXT.replace("trials = 4", f"trials = {trials}"))
     if ok:
         assert ex.parse_config(path).trials == trials
         return
-    message = r"trials x 2 betas is beyond numpy's array size limit 9223372036854775807 \(trials has \d+ digits\)"
+    message = r"trials x 2 betas at 8 bytes each exceed numpy's array size limit of 9223372036854775807 bytes$"
     with pytest.raises(InvalidParameterError, match=message):
         small_config(trials=trials)
     with pytest.raises(ConfigError, match=r"bad \[sweep\] section: " + message):
@@ -461,12 +462,41 @@ def test_parse_config_roundtrip(tmp_path):
     assert ex.read_config(path)["constants"] == cfg.constants
     assert cfg.outputs.rows == "rows.csv"
 
-    out = tmp_path / "copy.ini"
-    ex.write_config(cfg, out)
-    cfg2 = ex.parse_config(out)
-    assert cfg2.spec == cfg.spec
-    assert cfg2.beta_grid == cfg.beta_grid
-    assert cfg2.constants.c2 == cfg.constants.c2
+    # the same config with every optional key spelled out reads back equal
+    explicit = tmp_path / "explicit.ini"
+    explicit.write_text(
+        """\
+[distribution]
+family = heavy-radial
+n = 16
+eta = 5.0
+mixture_p = 0.0
+
+[sweep]
+beta_grid = 0.5 0.25
+trials = 4
+seed = 11
+
+[constants]
+c0 = 1.0
+c1 = 1.0
+c2 = 1.25
+c3 = 1.0
+c4 = 1.0
+c5 = 1.0
+c6 = 1.0
+iso_c0 = 1.0
+iso_c1 = 1.0
+iso_c2 = 1.0
+gen_c1 = 1.0
+gen_c2 = 1.0
+gen_c3 = 1.0
+
+[outputs]
+rows = rows.csv
+"""
+    )
+    assert ex.parse_config(explicit) == cfg
 
 
 def test_parse_config_rejects_unknown(tmp_path):
@@ -506,6 +536,16 @@ def test_readme_config_block_parses(tmp_path):
     assert (cfg.trials, cfg.seed) == (100, 20260809)
     assert cfg.constants == bd.ConstantSet()
     assert cfg.outputs == ex.OutputPaths("rows.csv", "summary.csv", "result.json")
+
+
+def test_readme_format_table_is_current():
+    """README.md's table of result formats has one row per format_version,
+    newest first, from ``RESULT_FORMAT_VERSION`` down to 2, and links the
+    history in CHANGES.md."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    versions = [int(v) for v in re.findall(r"^\| (\d+) +\|", readme, flags=re.M)]
+    assert versions == list(range(ex.RESULT_FORMAT_VERSION, 1, -1))
+    assert "(CHANGES.md)" in readme
 
 
 def test_degradation_ordering_atomic_mixture():
