@@ -6,7 +6,8 @@ seeded output must not depend on that count runs its BLAS calls inside
 ``_single_threaded_blas``, which pins the OpenBLAS numpy calls (lminlab
 runs on numpy alone and never loads scipy's own OpenBLAS).  The sweep, the
 estimators in ``smallball`` and ``rademacher``, ``verify``'s spectral check,
-``spectrum.lambda_min_power`` and ``lminlab spectrum`` hold it.  The
+``spectrum.lambda_min_power`` and ``lminlab spectrum`` hold it, and so do
+both threads of ``smallball.small_ball_curve``.  The
 estimators also walk their samples in fixed row blocks (``row_blocks``), so
 their memory is bounded by the block size and each block's product takes
 the same BLAS path whatever the total row count.
@@ -51,12 +52,13 @@ def _openblas_controls() -> tuple:
 class _SingleThreadedBlas:
     """Context manager pinning numpy's OpenBLAS to one thread.
 
-    The sweep pool is the only source of parallelism while it is held: a
-    threaded BLAS under a thread pool oversubscribes the cores, and its
-    reductions change in the last ulp with its thread count.  Thread counts
-    are process state, so overlapping holders share one pin: the first to
-    enter saves the count, the last to leave restores it, also when the body
-    raises.  Without a control symbol (a non-OpenBLAS build) it does
+    While it is held, parallelism comes only from lminlab's own threads
+    (the sweep pool and the small-ball curve's worker): a threaded BLAS
+    under them oversubscribes the cores, and its reductions change in the
+    last ulp with its thread count.  Thread counts are process state, so
+    overlapping holders, on one thread or several, share one pin: the first
+    to enter saves the count, the last to leave restores it, also when the
+    body raises.  Without a control symbol (a non-OpenBLAS build) it does
     nothing.  Another OpenBLAS in the process, such as the one a caller's
     scipy loads, keeps its thread count; lminlab never calls BLAS through
     one.

@@ -107,7 +107,8 @@ def sample_matrix(spec: DistributionSpec, m: int, rng: np.random.Generator | int
     - heavy-radial: (m, n) normals for directions, then m uniforms for radii;
       for n > 1 each normal row g_i is scaled in place, in one pass, by
       sqrt(n) * rho_i / ||g_i||, with the norm from a row-wise ``einsum``
-      (no m x n temporary)
+      (no m x n temporary); the radii and norms are built in place, so
+      two m-vectors are all it holds beside its output
     - rademacher-vec: (m, n) sign bits
     - atomic-mixture: m uniforms for the atom coin, then (m, n) normals
       (normals are drawn even for atom rows, so the stream layout does not
@@ -144,15 +145,20 @@ def sample_matrix(spec: DistributionSpec, m: int, rng: np.random.Generator | int
 
     if fam == "heavy-radial":
         g = rng.standard_normal((m, n))
-        s0 = pareto_threshold(spec.eta)
-        rho = s0 * (1.0 - rng.random(m)) ** (-1.0 / (2.0 + spec.eta))
+        rho = rng.random(m)
+        np.subtract(1.0, rho, out=rho)
+        np.power(rho, -1.0 / (2.0 + spec.eta), out=rho)
+        rho *= pareto_threshold(spec.eta)
         if n == 1:
             theta = np.sign(g)
             theta[theta == 0] = 1.0
             theta *= rho[:, None]
             return theta
         # one in-place pass over the normals: a sweep draws one of these per trial
-        g *= (math.sqrt(n) * rho / np.sqrt(np.einsum("ij,ij->i", g, g)))[:, None]
+        rho *= math.sqrt(n)
+        norms = np.einsum("ij,ij->i", g, g)
+        rho /= np.sqrt(norms, out=norms)
+        g *= rho[:, None]
         return g
 
     if fam == "rademacher-vec":

@@ -25,6 +25,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -488,6 +489,12 @@ _FORMAT = {
     "outputs": (OutputPaths, {"rows": str, "summary": str, "result": str}),
 }
 
+# A section header line holds the header and at most a ``;`` or ``#``
+# comment.  configparser's own pattern drops any other text after the "]",
+# so ``[constants] c2 = 5`` would read as an empty [constants]; with this one
+# that line is not a header and fails as a key outside its section.
+_SECTION_HEADER = re.compile(r"\[(?P<header>[^\]]+)\]\s*(?:[;#].*)?$")
+
 
 def read_config(path) -> dict:
     """Every section of a config file, built into its object: a
@@ -501,6 +508,7 @@ def read_config(path) -> dict:
     # keys and values are literal: ``n`` is not ``N``, and ``%`` is a plain character
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     parser.optionxform = str
+    parser.SECTCRE = _SECTION_HEADER
     try:
         read = parser.read(path)
     except configparser.Error as exc:

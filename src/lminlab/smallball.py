@@ -13,19 +13,33 @@ budget goes to uniform random directions, then the 2n signed coordinate
 directions, then greedy local refinement of the best candidate by Gaussian
 perturbations of decaying scale.  Ties break to the lowest pool index.
 
+Draw order: a search draws its random directions, then one block of
+refinement noise, n normals per step, before it projects anything.  Every
+step draws its noise whatever the objective values, so the draws of a search
+are fixed by its shapes alone.  A curve draws its base pool and the noise of
+every grid point's refinement (grid order, then step order), and then its
+moment ratios draw theirs.  Since nothing after that touches the generator,
+the curve runs ``moment_ratios`` on a one-worker thread beside its own tail
+search and joins it: the two share only the read-only samples, and the
+output and the generator's final state are those of running them one after
+the other, on any number of cores.
+
 Memory: every statistic over a direction set (tail fractions, means of
 |<X,t>| and |<X,t>|^2) is accumulated by walking the samples in row blocks
 of at most ``_BLOCK_ELEMENTS`` projections, written into buffers reused
-from block to block, so no samples x directions matrix is built.  A curve
-projects each direction once: its base pool, then only the refinement
-candidates, then the pool of its moment ratios.  The blocks and the
-refinement steps run with BLAS pinned to one thread, so seeded output does
-not depend on the BLAS thread count.
+from block to block, so no samples x directions matrix is built.  The tail
+counter adds one byte per projection and grid point.  A curve projects each
+direction once: its base pool, then only the refinement candidates, then
+the pool of its moment ratios; with the moment ratios on the worker, two
+sets of block buffers are alive at once.  The blocks and the refinement
+steps run with BLAS pinned to one thread, so seeded output does not depend
+on the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -74,30 +88,31 @@ def _base_pool(n: int, budget: int, rng: np.random.Generator) -> tuple[np.ndarra
     return pool, n_refine
 
 
-def _perturb(best: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
-    cand = best + scale * rng.standard_normal(best.shape[0])
+def _perturb(best: np.ndarray, scale: float, noise: np.ndarray) -> np.ndarray:
+    cand = best + scale * noise
     norm = np.linalg.norm(cand)
     if norm == 0:
         return best
     return cand / norm
 
 
-def _refine(chains: list, steps: int, rng: np.random.Generator) -> list:
+def _refine(chains: list, noise: np.ndarray) -> list:
     """Greedy local refinement of ``[objective, best value, best direction]`` chains.
 
-    Step k perturbs the direction of chain k mod len(chains) at a scale that
-    decays every step, and keeps the candidate when its objective is strictly
-    lower.  The chains are updated in place; the candidates are returned in
-    draw order.  The objectives run under the single-thread BLAS pin: a
-    threaded product of the samples with one direction spends a second core
-    without saving wall time.
+    Step k adds row k of ``noise`` (standard normals, one row per step) to
+    the best direction of chain k mod len(chains), at a scale that decays
+    every step, normalizes, and keeps the candidate when its objective is
+    strictly lower.  The chains are updated in place; the candidates are
+    returned in step order.  The objectives run under the single-thread
+    BLAS pin: a threaded product of the samples with one direction spends a
+    second core without saving wall time.
     """
     scale = _REFINE_SCALE0
     cands = []
     with blas._single_threaded_blas:
-        for k in range(steps):
+        for k, step_noise in enumerate(noise):
             chain = chains[k % len(chains)]
-            cand = _perturb(chain[2], scale, rng)
+            cand = _perturb(chain[2], scale, step_noise)
             val = chain[0](cand)
             if val < chain[1]:
                 chain[1], chain[2] = val, cand
@@ -119,31 +134,40 @@ def _marginals(samples: np.ndarray, dirs: np.ndarray, us=(), moments: bool = Fal
     |<X_i, d>| and |<X_i, d>|^2, for every direction d (a row of ``dirs``).
 
     The samples are walked in row blocks under the single-thread BLAS pin.
-    The tails are counted in integers.  Each statistic has one buffer whose
-    row 0 holds its running sum and whose next rows take a block's values,
-    so one sum over axis 0 adds the rows one at a time in sample order, as a
-    mean over axis 0 of the whole projection matrix does, and the means
-    equal that one bit for bit.  A single direction is the exception: numpy
-    sums one column pairwise, so its means agree with the dense one only to
+    The tails are counted exactly in integers: a block's comparisons at
+    every u go into one reused byte buffer, whose rows are folded onto its
+    first half, in place, while no cell can pass 255, and the few rows left
+    are added in int64.  Each moment statistic has one buffer whose row 0
+    holds its running sum and whose next rows take a block's values, so one
+    sum over axis 0 adds the rows one at a time in sample order, as a mean
+    over axis 0 of the whole projection matrix does, and the means equal
+    that one bit for bit.  A single direction is the exception: numpy sums
+    one column pairwise, so its means agree with the dense one only to
     round-off.  The squares come from ``np.power(proj, 2.0)``, the ufunc
     that ``proj ** 2.0`` runs.
     """
     N, D = samples.shape[0], dirs.shape[0]
+    us = np.asarray(us, dtype=float)[:, None, None]
     counts = np.zeros((len(us), D), dtype=np.int64)
-    sums = powers = None
+    sums = powers = hits = None
     with blas._single_threaded_blas:
         for rows in blas.row_blocks(N, D, _BLOCK_ELEMENTS):
             end = rows.stop - rows.start + 1
             if sums is None:  # the first block is the longest
                 sums = np.zeros((end, D))
                 powers = np.zeros_like(sums) if moments else None
+                hits = np.empty((len(us), end - 1, D), dtype=np.uint8)
             proj = sums[1:end]
             np.matmul(samples[rows], dirs.T, out=proj)
             np.abs(proj, out=proj)
-            for i, u in enumerate(us):
-                # int32 sums of booleans run about twice as fast as int64
-                # ones, and a block has far fewer than 2^31 rows
-                counts[i] += (proj >= u).sum(axis=0, dtype=np.int32)
+            if len(us):
+                np.greater_equal(proj, us, out=hits[:, : end - 1].view(np.bool_))
+                r, most = end - 1, 1  # rows of hits in use, the largest count a cell can hold
+                while r > 1 and 2 * most <= 255:
+                    k = r // 2
+                    hits[:, :k] += hits[:, r - k : r]
+                    r, most = r - k, 2 * most
+                counts += hits[:, :r].sum(axis=1, dtype=np.int64)
             if moments:
                 np.power(proj, 2.0, out=powers[1:end])
                 sums[0] = sums[:end].sum(axis=0)
@@ -153,11 +177,18 @@ def _marginals(samples: np.ndarray, dirs: np.ndarray, us=(), moments: bool = Fal
     return _Marginals(counts / N, sums[0] / N, powers[0] / N)
 
 
+def _abs_projection(samples: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """|<X_i, d>| over the rows X_i, with the absolute value taken in place."""
+    proj = samples @ d
+    return np.abs(proj, out=proj)
+
+
 def _tail_chain(samples: np.ndarray, fracs: np.ndarray, pool: np.ndarray, u: float) -> list:
     """Chain minimizing the empirical tail at u, started at the pool direction
     with the least tail fraction ``fracs``."""
     i = int(np.argmin(fracs))
-    return [lambda d: float((np.abs(samples @ d) >= u).mean()), float(fracs[i]), pool[i]]
+    N = samples.shape[0]
+    return [lambda d: np.count_nonzero(_abs_projection(samples, d) >= u) / N, float(fracs[i]), pool[i]]
 
 
 def q_inf_search(
@@ -171,8 +202,9 @@ def q_inf_search(
     samples = _as_samples(samples)
     rng = as_generator(rng)
     pool, n_refine = _base_pool(samples.shape[1], budget, rng)
+    noise = rng.standard_normal((n_refine, samples.shape[1]))
     chain = _tail_chain(samples, _marginals(samples, pool, [u]).tail[0], pool, u)
-    _refine([chain], n_refine, rng)
+    _refine([chain], noise)
     return chain[1], chain[2]
 
 
@@ -214,15 +246,16 @@ def moment_ratios(
     samples = _as_samples(source)
     rng = as_generator(rng)
     pool, n_refine = _base_pool(samples.shape[1], budget, rng)
+    noise = rng.standard_normal((n_refine, samples.shape[1]))
 
     def neg_ratio_of(d: np.ndarray) -> float:
         # beta_p is maximized as the minimum of -ratio; a degenerate or
         # overflowing direction is never kept.
-        proj = np.abs(samples @ d)
+        proj = _abs_projection(samples, d)
         l1 = proj.mean()
         if l1 == 0:
             return math.inf
-        ratio = float((proj**2.0).mean() ** 0.5 / l1)
+        ratio = float(np.power(proj, 2.0, out=proj).mean() ** 0.5 / l1)
         return -ratio if math.isfinite(ratio) else math.inf
 
     marginals = _marginals(samples, pool, moments=True)
@@ -236,9 +269,9 @@ def moment_ratios(
     beta = float(ratios[bi])
     if not np.isfinite(beta):  # every direction degenerate
         beta = math.inf
-    alpha_chain = [lambda d: float(np.abs(samples @ d).mean()), float(l1s[ai]), pool[ai]]
+    alpha_chain = [lambda d: float(_abs_projection(samples, d).mean()), float(l1s[ai]), pool[ai]]
     beta_chain = [neg_ratio_of, -beta, pool[bi]]
-    _refine([alpha_chain, beta_chain], n_refine, rng)
+    _refine([alpha_chain, beta_chain], noise)
     _, alpha, alpha_dir = alpha_chain
     beta, beta_dir = -beta_chain[1], beta_chain[2]
     return MomentRatios(alpha=alpha, beta_p=beta, alpha_dir=alpha_dir, beta_dir=beta_dir)
@@ -288,7 +321,9 @@ def small_ball_curve(
     and only the candidates are projected after it.  Minimizing over a common
     set makes the upper estimates nonincreasing in u by construction.  The
     lower side is the Paley-Zygmund bound from ``moment_ratios`` of the same
-    samples, drawing its directions from the same generator afterwards.
+    samples, drawing its directions from the same generator after the whole
+    tail search's draws; it runs on a worker thread beside the tail search
+    (see the module docstring).
     """
     samples = _as_samples(samples)
     u_grid = np.asarray(u_grid, dtype=float)
@@ -299,19 +334,24 @@ def small_ball_curve(
     rng = as_generator(rng)
 
     pool, n_refine = _base_pool(samples.shape[1], budget, rng)
-    all_dirs = pool
-    tails = _marginals(samples, pool, u_grid).tail
     per_u = n_refine // len(u_grid)
-    if per_u > 0:
-        cands = np.vstack(
-            [_refine([_tail_chain(samples, fracs, pool, u)], per_u, rng) for u, fracs in zip(u_grid, tails)]
-        )
-        all_dirs = np.vstack([pool, cands])
-        tails = np.hstack([tails, _marginals(samples, cands, u_grid).tail])
-    indices = np.argmin(tails, axis=1)
-    upper = tails[np.arange(len(u_grid)), indices]
-
-    ratios = moment_ratios(samples, budget=budget, rng=rng)
+    noise = rng.standard_normal((len(u_grid), per_u, samples.shape[1]))
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        lower_side = worker.submit(moment_ratios, samples, budget=budget, rng=rng)
+        all_dirs = pool
+        tails = _marginals(samples, pool, u_grid).tail
+        if per_u > 0:
+            cands = np.vstack(
+                [
+                    _refine([_tail_chain(samples, fracs, pool, u)], u_noise)
+                    for u, fracs, u_noise in zip(u_grid, tails, noise)
+                ]
+            )
+            all_dirs = np.vstack([pool, cands])
+            tails = np.hstack([tails, _marginals(samples, cands, u_grid).tail])
+        indices = np.argmin(tails, axis=1)
+        upper = tails[np.arange(len(u_grid)), indices]
+        ratios = lower_side.result()
     lower = np.array([paley_zygmund_lower(ratios, u) for u in u_grid])
 
     return SmallBallCurve(

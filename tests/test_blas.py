@@ -97,6 +97,35 @@ def test_overlapping_sweeps_share_one_pin(blas_two_threads):
     assert [get() for get in getters] == [2] * len(getters)
 
 
+def test_pin_holders_on_many_threads(blas_two_threads):
+    """Holders entering and leaving on more threads than cores, with thread
+    switches forced often (as the small-ball curve's two threads do, block
+    by block), always see one BLAS thread, and the last one out restores
+    the counts."""
+    getters = blas_two_threads
+    pin = blas._single_threaded_blas
+    seen = set()
+
+    def holder():
+        for _ in range(300):
+            with pin:
+                seen.update(get() for get in getters)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=holder) for _ in range(2 * (os.cpu_count() or 1) + 2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert seen == {1}
+    assert [get() for get in getters] == [2] * len(getters)
+
+
 def test_pin_finds_numpys_openblas():
     """An OpenBLAS build without a thread control fails here rather than
     skipping the pin tests, and loading scipy's own OpenBLAS does not take

@@ -141,6 +141,26 @@ def test_bounds_unreadable_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text,rc,expected",
+    [
+        ("[constants] c2 = 5\n", 2, "section header"),
+        ("[outputs]\nrows = r.csv\n[constants] c2 = 5\n", 2, "unknown [outputs] keys: ['[constants] c2']"),
+        ("[constants]   ; a comment\nc2 = 5\n", 0, '""c2"": 5.0'),
+        ("[constants]   # a comment\nc2 = 5\n", 0, '""c2"": 5.0'),
+    ],
+    ids=["key-on-first-header", "key-on-later-header", "semicolon-comment", "hash-comment"],
+)
+def test_bounds_config_text_after_section_header(tmp_path, capsys, text, rc, expected):
+    """Text after a section header is an error unless it is a comment:
+    configparser alone would drop it and run with c2 = 1.0."""
+    cfg = tmp_path / "k.ini"
+    cfg.write_text(text)
+    assert cli.main(["bounds", "--regime", "tail", "--eta", "5", "--beta", "0.25", "--N", "100", "--config", str(cfg)]) == rc
+    captured = capsys.readouterr()
+    assert expected in (captured.out if rc == 0 else captured.err)
+
+
+@pytest.mark.parametrize(
     "mangle",
     [lambda b: b[:30], lambda b: b[:-1], lambda b: b + b"\x00" * 8],
     ids=["truncated-header", "truncated-body", "trailing-bytes"],

@@ -174,6 +174,21 @@ def test_sign_sampler_memory_is_output_plus_chunk(spec):
     assert peak < x.nbytes + 2**20, peak
 
 
+def test_heavy_radial_memory_is_output_plus_two_vectors():
+    """The radii and the row norms are built in place: beside its output the
+    sampler holds two m-vectors (the expression form held about four, 9.6 MB
+    at the peak of this draw)."""
+    m = 100_000
+    rng = np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        x = dist.sample_matrix(dist.DistributionSpec("heavy-radial", 8, eta=3.0), m, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes + 2 * m * 8 + 2**20, peak
+
+
 def test_assemble_like_row_norms():
     # isotropy gives E ||X||^2 = n for every family
     rng = np.random.default_rng(10)

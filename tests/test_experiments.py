@@ -512,6 +512,9 @@ def test_parse_config_rejects_unknown(tmp_path):
         # keys are case-sensitive
         (CONFIG_TEXT.replace("n = 16", "N = 16"), "'N'"),
         ("family = gaussian-iid\n", "section header"),
+        # text after a section header that is not a comment
+        ("[constants] c2 = 5\n", "section header"),
+        (CONFIG_TEXT.replace("[constants]\nc2 = 1.25", "[constants] c2 = 5"), "'\\[constants\\] c2'"),
     ]
     bad = tmp_path / "bad.ini"
     for text, match in cases:

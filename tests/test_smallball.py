@@ -3,6 +3,7 @@ Paley-Zygmund bounds, and the curve report."""
 
 import math
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -315,7 +316,69 @@ def test_curve_projects_each_direction_once(monkeypatch):
 
     monkeypatch.setattr(sb, "_marginals", recording)
     sb.small_ball_curve(x, (0.1, 0.2, 0.4, 0.8), budget=256, rng=6)
-    assert projected == [221, 32, 221]
+    # the moment ratios run beside the tail search, so the order is not defined
+    assert sorted(projected) == [32, 221, 221]
+
+
+@pytest.mark.parametrize(
+    "n,N,block_rows",
+    [(1, 70_000, None), (3, 2 * 255 + 7, 255), (3, 2 * 256 + 7, 256), (3, 2 * 257 + 7, 257), (3, 2 * 511 + 7, 511)],
+    ids=["one-direction-70000-rows", "blocks-of-255", "blocks-of-256", "blocks-of-257", "blocks-of-511"],
+)
+def test_marginals_tails_equal_dense_counts(monkeypatch, n, N, block_rows):
+    """The folded byte counter equals the dense count, also where every row
+    passes u = 0 and a cell's count would overflow a byte."""
+    if block_rows is not None:
+        monkeypatch.setattr(sb, "_BLOCK_ELEMENTS", block_rows * n)
+    rng = np.random.default_rng(N)
+    x = rng.standard_normal((N, 2))
+    dirs = rng.standard_normal((n, 2))
+    us = (0.0, 0.3, 1.0)
+    dense = np.stack([(np.abs(x @ dirs.T) >= u).sum(axis=0) for u in us])
+    assert np.array_equal(sb._marginals(x, dirs, us).tail, dense / N)
+    assert sb._marginals(x, dirs).tail.shape == (0, n)
+
+
+class _InlineExecutor:
+    """Stand-in for the curve's one-worker pool that runs the submitted call
+    on the calling thread, when it is submitted or when its result is read."""
+
+    def __init__(self, run_at):
+        self.run_at = run_at
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        if self.run_at == "submit":
+            future.set_result(fn(*args, **kwargs))
+        else:
+            future.result = lambda: fn(*args, **kwargs)
+        return future
+
+
+@pytest.mark.parametrize("run_at", ["submit", "result"])
+def test_curve_without_worker_thread_is_identical(monkeypatch, run_at):
+    """The moment ratios give the same curve and leave the generator in the
+    same state whether they run on the worker, before the tail search or
+    after it."""
+    x = dist.sample_matrix(dist.DistributionSpec("heavy-radial", 8, eta=3.0), 3000, np.random.default_rng(5))
+
+    def curve():
+        rng = np.random.default_rng(6)
+        c = sb.small_ball_curve(x, (0.1, 0.2, 0.4, 0.8), budget=256, rng=rng)
+        return c, rng.bit_generator.state
+
+    threaded, threaded_state = curve()
+    monkeypatch.setattr(sb, "ThreadPoolExecutor", lambda max_workers: _InlineExecutor(run_at))
+    inline, inline_state = curve()
+    for name in ("upper", "lower", "argmin_dirs", "dir_indices"):
+        assert np.array_equal(getattr(threaded, name), getattr(inline, name)), name
+    assert threaded_state == inline_state
 
 
 def test_curve_memory_bounded_by_block():
