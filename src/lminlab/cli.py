@@ -96,13 +96,13 @@ def cmd_spectrum(args) -> int:
     m = sp.SampleMatrix.load(args.matrix)
     with blas._single_threaded_blas:  # bits independent of the BLAS thread count
         res = sp.lambda_extremes(m)
+        width = sp.inertia_bracket(sp.gram(m), res.lambda_min**2, res.lambda_max**2)
     out = {
         "N": m.N,
         "n": m.n,
         "lambda_min": res.lambda_min,
         "lambda_max": res.lambda_max,
-        "method": res.method,
-        "residual": res.residual,
+        "bracket_half_width": width,
     }
     if args.power:
         out["lambda_min_sq_power"] = sp.lambda_min_power(m)

@@ -157,35 +157,12 @@ def _abs_threshold_realizable(inside_mags: np.ndarray, outside_mags: np.ndarray)
     return lo < hi and hi > 0
 
 
-_ABS_NET_SIZE = 64
-
-
-def _abs_threshold_net(dim: int) -> np.ndarray:
-    """Deterministic direction net for the slab-complement class in R^2/R^3."""
-    if dim == 2:
-        angles = np.pi * np.arange(_ABS_NET_SIZE) / _ABS_NET_SIZE
-        return np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    # Fibonacci hemisphere
-    k = np.arange(_ABS_NET_SIZE * 4)
-    z = (k + 0.5) / (_ABS_NET_SIZE * 4)
-    phi = k * math.pi * (3.0 - math.sqrt(5.0))
-    r = np.sqrt(1 - z**2)
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-
-
 def _dichotomy_realizable(points: np.ndarray, mask: np.ndarray, klass: str) -> bool:
     if klass == "halfspaces":
         return _halfspace_separable(points[mask], points[~mask])
-    # abs-threshold: {x : |<t, x>| > u}; exact in 1-D, direction net above.
-    dim = points.shape[1]
-    if dim == 1:
-        mags = np.abs(points[:, 0])
-        return _abs_threshold_realizable(mags[mask], mags[~mask])
-    for t in _abs_threshold_net(dim):
-        mags = np.abs(points @ t)
-        if _abs_threshold_realizable(mags[mask], mags[~mask]):
-            return True
-    return False
+    # abs-threshold on the line: {x : |x| > u}
+    mags = np.abs(points[:, 0])
+    return _abs_threshold_realizable(mags[mask], mags[~mask])
 
 
 def _is_shattered(points: np.ndarray, klass: str) -> bool:
@@ -207,10 +184,9 @@ def vc_bruteforce(points, klass: str = "halfspaces") -> int:
 
     ``klass`` is "halfspaces" (dim <= 3; a dichotomy is realizable when the
     min-norm point of conv{a - b : a in, b out} is not the origin, found by
-    Wolfe's algorithm) or "abs-threshold" ({x : |<t, x>| > u}; exact in 1-D,
-    direction-net based in dim 2-3 where the result is a lower estimate).
-    Capped at 25 points; a NaN or infinite coordinate is an
-    ``InvalidInputError``.
+    Wolfe's algorithm) or "abs-threshold" ({x : |x| > u}, points on the
+    line only; other dimensions raise ``InvalidParameterError``).  Capped
+    at 25 points; a NaN or infinite coordinate is an ``InvalidInputError``.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -220,6 +196,8 @@ def vc_bruteforce(points, klass: str = "halfspaces") -> int:
     m, dim = pts.shape
     if klass not in ("halfspaces", "abs-threshold"):
         raise InvalidParameterError(f"unknown class {klass!r}")
+    if klass == "abs-threshold" and dim != 1:
+        raise InvalidParameterError(f"abs-threshold points must lie on the line (dim 1), got dim {dim}")
     if m > _VC_MAX_POINTS or dim > _VC_MAX_DIM:
         raise BudgetExceededError(
             f"enumeration capped at {_VC_MAX_POINTS} points in dim <= {_VC_MAX_DIM}, "

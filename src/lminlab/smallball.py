@@ -48,7 +48,7 @@ import numpy as np
 from . import blas
 from .distributions import DistributionSpec, marginal_abs_moment
 from .errors import InvalidInputError, InvalidParameterError, UnsupportedQueryError
-from .streams import as_generator
+from .streams import as_generator, check_array_size
 
 _REFINE_SCALE0 = 0.5
 _REFINE_DECAY = 0.9
@@ -73,6 +73,7 @@ def _base_pool(n: int, budget: int, rng: np.random.Generator) -> tuple[np.ndarra
     """
     if budget < 1:
         raise InvalidParameterError(f"budget must be >= 1, got {budget}")
+    check_array_size("budget x n directions", budget * n)
     n_rand = max(1, int(round(0.8 * budget)))
     g = rng.standard_normal((n_rand, n))
     norms = np.linalg.norm(g, axis=1, keepdims=True)

@@ -6,16 +6,14 @@ whose Gram has the law of the N x n rows' Gram, and for every other family
 the rows themselves.  Gaussian-iid sweep trials are solved in batches by
 ``bidiagonal_extremes``: Sturm-count bisection on the tridiagonal Gram of
 each factor, elementwise numpy with no BLAS or LAPACK, and no dense matrix.
-Every other extreme is computed from the n x n Gram matrix with a symmetric
-eigensolver: eigenvalues only for sweep trials, which report nothing else,
-and eigenpairs with a residual for ``lminlab spectrum``.  ``verify``
-certifies the sweep's eigenvalue-only solve by ``inertia_bracket``: two
-Cholesky factorizations around each extreme, by Sylvester's law of
-inertia.  An inverse-power path, an LU inverse plus shifted solves on numpy
-alone, serves only ``lminlab spectrum --power``.  At desk scale (n <= ~500)
-the Gram route is the fast one and its squaring loss is irrelevant above
-~1e-6.  A Gram or a factor with a non-finite entry is an input error on
-every path.
+Every other extreme is computed from the eigenvalues of the n x n Gram
+matrix, with no eigenvectors, and ``verify`` and ``lminlab spectrum``
+certify that solve by ``inertia_bracket``: two Cholesky factorizations
+around each extreme, by Sylvester's law of inertia.  An inverse-power path,
+an LU inverse plus shifted solves on numpy alone, serves only ``lminlab
+spectrum --power``.  At desk scale (n <= ~500) the Gram route is the fast
+one and its squaring loss is irrelevant above ~1e-6.  A Gram or a factor
+with a non-finite entry is an input error on every path.
 """
 
 from __future__ import annotations
@@ -101,13 +99,13 @@ class SampleMatrix:
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Extreme singular values with a backward-error estimate (NaN when the
-    solve computed no eigenvectors)."""
+    """Extreme singular values of a sample matrix.  ``residual`` is NaN: it
+    stays only because the benchmark's tracer reads it, and goes together
+    with ``lambda_min_power`` once the tracer drops both."""
 
     lambda_min: float
     lambda_max: float
-    method: str
-    residual: float
+    residual: float = math.nan
 
 
 def assemble(spec: DistributionSpec, N: int, seed: int | SeedRecord) -> SampleMatrix:
@@ -163,70 +161,54 @@ def gram(m: SampleMatrix) -> np.ndarray:
     return g
 
 
-def lambda_extremes(m: SampleMatrix, vectors: bool = True) -> SpectralResult:
-    """Extreme singular values via the symmetric eigenproblem of the Gram.
+def lambda_extremes(m: SampleMatrix) -> SpectralResult:
+    """Extreme singular values from the eigenvalues of the Gram (``eigvalsh``).
 
     lambda_min is reported as exactly 0 when the Gram is singular to
     round-off: for N < n, and when its smallest eigenvalue is at most
     n * eps * max|G|, the rule of ``lambda_min_power``.  A Gram's largest
-    entry sits on its diagonal, so that costs O(n).  With ``vectors`` the
-    solver is ``eigh`` and the residual is max ||G v - mu v|| over the two
-    extreme eigenpairs, scaled by lambda_max (machine-level for a healthy
-    solve).  Without it the solver is ``eigvalsh``, which skips the
-    eigenvectors, and the residual is NaN: a sweep trial reports only the
-    extremes.  The two solvers' extremes agree to round-off but not bit for
-    bit.
+    entry sits on its diagonal, so that costs O(n).
     """
     g = gram(m)
-    if vectors:
-        vals, vecs = np.linalg.eigh(g)
-    else:
-        vals = np.linalg.eigvalsh(g)
+    vals = np.linalg.eigvalsh(g)
     lam_max = float(np.sqrt(max(vals[-1], 0.0)))
     if m.N < m.n or vals[0] <= m.n * _EPS * g.diagonal().max():
         lam_min = 0.0
     else:
         lam_min = float(np.sqrt(vals[0]))
-    if not vectors:
-        return SpectralResult(lambda_min=lam_min, lambda_max=lam_max, method="sym-eig", residual=math.nan)
-    res = 0.0
-    for idx in (0, len(vals) - 1):
-        v = vecs[:, idx]
-        res = max(res, float(np.linalg.norm(g @ v - vals[idx] * v)))
-    scale = lam_max if lam_max > 0 else 1.0
-    return SpectralResult(lambda_min=lam_min, lambda_max=lam_max, method="sym-eig", residual=res / scale)
+    return SpectralResult(lambda_min=lam_min, lambda_max=lam_max)
 
 
 # half-width of an inertia bracket, in units of n * eps * max diag G
 _BRACKET_K = 16
 
 
-def inertia_bracket(g: np.ndarray, mu: float, upper: bool = False) -> float | None:
-    """Half-width w of a Sylvester-inertia bracket of the estimate ``mu`` of
-    the smallest eigenvalue of the symmetric ``g`` (the largest with
-    ``upper``), or None when the bracket fails.
+def inertia_bracket(g: np.ndarray, lo: float, hi: float) -> float | None:
+    """Half-width w of Sylvester-inertia brackets of the estimates ``lo`` of
+    the smallest and ``hi`` of the largest eigenvalue of the symmetric
+    ``g``, or None when either bracket fails.
 
     A Cholesky factorization exists exactly when a symmetric matrix is
     positive definite (Sylvester's law of inertia), and it is backward
-    stable, so two factorizations locate an eigenvalue: G - (mu - w) I must
-    factor and G - (mu + w) I must not; with ``upper``, (mu + w) I - G must
-    and (mu - w) I - G must not.  w = ``_BRACKET_K`` * n * eps * max diag G,
-    a few times the round-off of a zero eigenvalue, so a rank-deficient Gram
-    brackets at mu = 0 and a zero matrix never brackets.
+    stable, so G - (lo - w) I and (hi + w) I - G must factor and
+    G - (lo + w) I and (hi - w) I - G must not.  w = ``_BRACKET_K`` * n *
+    eps * max diag G at both ends, a few times the round-off of a zero
+    eigenvalue, so a rank-deficient Gram brackets at lo = 0 and a zero
+    matrix never brackets.
     """
     n = g.shape[0]
     w = _BRACKET_K * n * _EPS * float(g.diagonal().max())
-    sign = -1.0 if upper else 1.0
     ident = np.eye(n)
 
-    def definite(shift):
+    def definite(a):
         try:
-            np.linalg.cholesky(sign * (g - shift * ident))
+            np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
             return False
         return True
 
-    return w if definite(mu - sign * w) and not definite(mu + sign * w) else None
+    low = definite(g - (lo - w) * ident) and not definite(g - (lo + w) * ident)
+    return w if low and definite((hi + w) * ident - g) and not definite((hi - w) * ident - g) else None
 
 
 def bidiagonal_extremes(diag, sub) -> tuple[np.ndarray, np.ndarray]:

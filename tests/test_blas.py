@@ -219,9 +219,9 @@ def test_estimator_output_independent_of_blas_threads(tmp_path):
     every OPENBLAS_NUM_THREADS; each run is a fresh process because OpenBLAS
     reads the variable when it loads.  The Rademacher case differed by 2 ulp
     of ``value`` between one and two threads while its product ran threaded.
-    Unpinned, the eigensolve changed ``lambda_min``, ``lambda_max`` and
-    ``residual`` of the 100-column spectrum, and the inverse iteration
-    changed ``lambda_min_sq_power`` of the 200-column one."""
+    Unpinned, the eigensolve changed ``lambda_min`` and ``lambda_max`` of
+    the 100-column spectrum, and the inverse iteration changed
+    ``lambda_min_sq_power`` of the 200-column one."""
     commands = {
         "smallball": [
             ["smallball", "--family", "heavy-radial", "--n", "8", "--eta", "3", "--samples", "30000", "--seed", "2"]

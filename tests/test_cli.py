@@ -404,8 +404,15 @@ def test_rademacher_huge_draws_exits_2(tmp_path, capsys):
         ["rademacher", "--n", "1", "--N", "15", "--draws", str(2**60)],
         ["rademacher", "--n", "1", "--N", str(2**63 - 1), "--draws", "4"],
         ["sample", "--n", "1", "--N", str(2**63 - 1)],
+        ["smallball", "--n", "2", "--samples", "10", "--budget", str(2**63 - 1)],
     ],
-    ids=["rademacher-draws-intp-max", "rademacher-draws-2^60", "rademacher-N-intp-max", "sample-N-intp-max"],
+    ids=[
+        "rademacher-draws-intp-max",
+        "rademacher-draws-2^60",
+        "rademacher-N-intp-max",
+        "sample-N-intp-max",
+        "smallball-budget-intp-max",
+    ],
 )
 def test_count_within_elements_but_beyond_bytes_exits_2(tmp_path, capsys, argv):
     """numpy limits an array's bytes, not its elements: a count that numpy

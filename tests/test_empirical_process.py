@@ -143,6 +143,15 @@ def test_vc_singleton():
     assert ep.vc_bruteforce(np.array([[1.0, 2.0]]), "halfspaces") == 1
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_vc_abs_threshold_off_the_line_is_refused(dim):
+    """abs-threshold is decided exactly on the line only; no estimate is
+    returned elsewhere."""
+    pts = np.random.default_rng(5).standard_normal((4, dim))
+    with pytest.raises(InvalidParameterError, match="dim 1"):
+        ep.vc_bruteforce(pts, "abs-threshold")
+
+
 def test_vc_budget_guard():
     with pytest.raises(BudgetExceededError):
         ep.vc_bruteforce(np.zeros((26, 2)), "halfspaces")

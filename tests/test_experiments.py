@@ -713,14 +713,14 @@ def _spectral_check(report):
 
 
 def test_verify_spectral_check_brackets_the_sweep_solver(monkeypatch):
-    """The spectral check certifies ``lambda_extremes(m, vectors=False)`` on
-    each of its 100 matrices, and never runs the inverse iteration."""
+    """The spectral check certifies ``lambda_extremes`` on each of its 100
+    matrices, and never runs the inverse iteration."""
     seen = []
     original = sp.lambda_extremes
 
-    def recording(m, vectors=True):
-        seen.append((m, vectors))
-        return original(m, vectors)
+    def recording(m):
+        seen.append(m)
+        return original(m)
 
     def forbidden(m):
         raise AssertionError("verify ran lambda_min_power")
@@ -732,22 +732,23 @@ def test_verify_spectral_check_brackets_the_sweep_solver(monkeypatch):
     check = _spectral_check(report)
     found = re.fullmatch(r"bracket held on 100 of 100, worst relative half-width (\S+)", check.detail)
     assert check.status == "pass" and found and float(found.group(1)) <= 1e-8
-    assert len(seen) == 100 and not any(vectors for _, vectors in seen)
-    # a 1e-6 relative error at either end, either way, fails its bracket on
-    # every one
-    for m, _ in seen:
+    assert len(seen) == 100
+    # a 1e-6 relative error at either end alone, either way, fails the
+    # bracket on every one
+    for m in seen:
         g = sp.gram(m)
-        r = original(m, vectors=False)
+        r = original(m)
+        lo, hi = r.lambda_min**2, r.lambda_max**2
         for factor in (1 - 1e-6, 1 + 1e-6):
-            assert sp.inertia_bracket(g, (factor * r.lambda_min) ** 2) is None
-            assert sp.inertia_bracket(g, (factor * r.lambda_max) ** 2, upper=True) is None
+            assert sp.inertia_bracket(g, (factor * r.lambda_min) ** 2, hi) is None
+            assert sp.inertia_bracket(g, lo, (factor * r.lambda_max) ** 2) is None
 
 
 def test_verify_spectral_check_detects_inflated_lambda_min(monkeypatch):
     original = sp.lambda_extremes
 
-    def inflated(m, vectors=True):
-        r = original(m, vectors)
+    def inflated(m):
+        r = original(m)
         return dataclasses.replace(r, lambda_min=r.lambda_min * (1 + 1e-6))
 
     monkeypatch.setattr(sp, "lambda_extremes", inflated)
