@@ -6,11 +6,11 @@ seeded output must not depend on that count runs its BLAS calls inside
 ``_single_threaded_blas``, which pins the OpenBLAS numpy calls (lminlab
 runs on numpy alone and never loads scipy's own OpenBLAS).  The sweep, the
 estimators in ``smallball`` and ``rademacher``, ``verify``'s spectral check,
-``spectrum.lambda_min_power``, ``lminlab spectrum`` (its solve and bracket)
-and both threads of ``smallball.small_ball_curve`` hold it.  The
-estimators also walk their samples in fixed row blocks (``row_blocks``), so
-their memory is bounded by the block size and each block's product takes
-the same BLAS path whatever the total row count.
+``lminlab spectrum`` (its solve and the bracket on its Gram), both threads of
+``smallball.small_ball_curve`` and ``spectrum.lambda_min_power`` (no command
+calls it) hold it.  The estimators also walk their samples in fixed row
+blocks (``row_blocks``), so their memory is bounded by the block size and
+each block's product takes the same BLAS path whatever the total row count.
 """
 
 from __future__ import annotations

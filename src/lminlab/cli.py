@@ -44,7 +44,9 @@ def _flags(p: argparse.ArgumentParser, *names: str) -> None:
 def _emit(pairs: dict, args) -> None:
     """Write a flat key->value record as csv rows or a json object."""
     if args.fmt == "json":
-        ex.write_json(pairs, args.out, end="\n")
+        text = ex.json_text(pairs)  # raises before the output is opened
+        with ex.open_output(args.out) as fh:
+            fh.write(text + "\n")
     else:
         ex.write_table(pairs.items(), args.out)
 
@@ -96,7 +98,7 @@ def cmd_spectrum(args) -> int:
     m = sp.SampleMatrix.load(args.matrix)
     with blas._single_threaded_blas:  # bits independent of the BLAS thread count
         res = sp.lambda_extremes(m)
-        width = sp.inertia_bracket(sp.gram(m), res.lambda_min**2, res.lambda_max**2)
+        width = sp.inertia_bracket(res.gram, res.lambda_min**2, res.lambda_max**2)
     out = {
         "N": m.N,
         "n": m.n,
@@ -104,8 +106,6 @@ def cmd_spectrum(args) -> int:
         "lambda_max": res.lambda_max,
         "bracket_half_width": width,
     }
-    if args.power:
-        out["lambda_min_sq_power"] = sp.lambda_min_power(m)
     _emit(out, args)
     return 0
 
@@ -260,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="extreme singular values of a matrix file")
     p.add_argument("--matrix", required=True, help="matrix file from 'sample'")
-    p.add_argument("--power", action="store_true", help="also run the inverse-power path")
     _flags(p, "out", "format")
     p.set_defaults(func=cmd_spectrum)
 

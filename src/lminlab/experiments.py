@@ -3,9 +3,9 @@ deterministic parallel trials, config parsing, and a one-command verify suite.
 
 N is derived from the aspect ratio by N = ceil(n/beta) so n/N <= beta holds
 exactly.  Every trial draws from the substream keyed by (master seed,
-beta index, trial index) the matrix ``spectrum.trial_matrix`` builds: a
-gaussian-iid trial draws an n x n bidiagonal chi factor in place of N x n
-normals, every other family its N rows.  Gaussian-iid trials are solved in
+beta index, trial index): a gaussian-iid trial the n x n bidiagonal factor
+of ``spectrum.chi_factor`` in place of N x n normals, every other family its
+N rows by ``spectrum.assemble``.  Gaussian-iid trials are solved in
 fixed-size blocks by ``spectrum.bidiagonal_extremes`` on the calling
 thread; every other family's trials are solved one by one on the worker
 pool.  A trial that raises becomes a ``TrialFailure`` record.  Aggregation
@@ -176,14 +176,6 @@ def open_output(path=None):
         yield fh
 
 
-def write_json(obj, path=None, end: str = "") -> None:
-    """Write ``json_text(obj)``, then ``end``, to the file ``path``, or to
-    stdout when ``path`` is None; nothing is written when it raises."""
-    text = json_text(obj)
-    with open_output(path) as fh:
-        fh.write(text + end)
-
-
 def json_text(obj) -> str:
     """``obj`` as JSON indented by one space.  A NaN or infinite float,
     which JSON cannot hold, raises ``LminlabError`` naming its key, never
@@ -258,10 +250,10 @@ def _failure(record: SeedRecord, exc: Exception) -> TrialFailure:
 
 
 def _trial(cfg: ExperimentConfig, beta_index: int, trial_index: int) -> TrialRow:
-    """One trial solved on its own: the pool's unit of work for every
-    family but gaussian-iid."""
+    """One trial's N rows (``spectrum.assemble``) solved on their own: the
+    pool's unit of work for every family but gaussian-iid."""
     record = SeedRecord(cfg.seed, beta_index, trial_index)
-    m = sp.trial_matrix(cfg.spec, cfg.sample_size(cfg.beta_grid[beta_index]), record)
+    m = sp.assemble(cfg.spec, cfg.sample_size(cfg.beta_grid[beta_index]), record)
     res = sp.lambda_extremes(m)
     return _row(cfg, record, res.lambda_min, res.lambda_max)
 
@@ -662,7 +654,7 @@ def verify_suite(budget: int = 100) -> VerifyReport:
                 vals = rng.standard_normal((20, 10)) / np.sqrt(20)
                 m = sp.SampleMatrix(20, 10, vals, SeedRecord(0))
                 r = sp.lambda_extremes(m)
-                w = sp.inertia_bracket(sp.gram(m), r.lambda_min**2, r.lambda_max**2)
+                w = sp.inertia_bracket(r.gram, r.lambda_min**2, r.lambda_max**2)
                 if w is not None:
                     held += 1
                     worst = max(worst, w / r.lambda_min**2)

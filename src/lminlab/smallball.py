@@ -199,7 +199,8 @@ def q_inf_search(
     rng: np.random.Generator | int | None = None,
 ) -> tuple[float, np.ndarray]:
     """Upper estimate of Q(u): the least empirical tail fraction
-    P_N{|<X, t>| >= u} over the search set of directions t."""
+    P_N{|<X, t>| >= u} over the search set of directions t.  No command
+    calls it; it stays while the benchmark's tracer binds it by name."""
     samples = _as_samples(samples)
     rng = as_generator(rng)
     pool, n_refine = _base_pool(samples.shape[1], budget, rng)

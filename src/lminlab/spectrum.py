@@ -1,26 +1,25 @@
 """Row-normalized sample matrices and their extreme singular values.
 
-The sample matrix stores rows X_i/sqrt(N).  A sweep trial solves
-``trial_matrix``: for gaussian-iid that is an n x n bidiagonal chi factor
-whose Gram has the law of the N x n rows' Gram, and for every other family
-the rows themselves.  Gaussian-iid sweep trials are solved in batches by
-``bidiagonal_extremes``: Sturm-count bisection on the tridiagonal Gram of
-each factor, elementwise numpy with no BLAS or LAPACK, and no dense matrix.
-Every other extreme is computed from the eigenvalues of the n x n Gram
-matrix, with no eigenvectors, and ``verify`` and ``lminlab spectrum``
-certify that solve by ``inertia_bracket``: two Cholesky factorizations
-around each extreme, by Sylvester's law of inertia.  An inverse-power path,
-an LU inverse plus shifted solves on numpy alone, serves only ``lminlab
-spectrum --power``.  At desk scale (n <= ~500) the Gram route is the fast
-one and its squaring loss is irrelevant above ~1e-6.  A Gram or a factor
-with a non-finite entry is an input error on every path.
+The sample matrix stores rows X_i/sqrt(N).  A gaussian-iid sweep trial with
+N >= n draws ``chi_factor``, an n x n bidiagonal chi factor whose Gram has
+the law of the N x n rows' Gram, and the sweep solves those factors in
+batches by ``bidiagonal_extremes``: Sturm-count bisection on the tridiagonal
+Gram of each factor, elementwise numpy with no BLAS or LAPACK, and no dense
+matrix.  Every other trial solves the rows ``assemble`` draws, and every
+other extreme is computed from the eigenvalues of the n x n Gram matrix by
+``lambda_extremes``, with no eigenvectors.  ``verify`` and ``lminlab
+spectrum`` certify that solve by ``inertia_bracket`` on the Gram it formed:
+two Cholesky factorizations around each extreme, by Sylvester's law of
+inertia.  At desk scale (n <= ~500) the Gram route is the fast one and its
+squaring loss is irrelevant above ~1e-6.  A Gram or a factor with a
+non-finite entry is an input error on every path.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,13 +98,14 @@ class SampleMatrix:
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Extreme singular values of a sample matrix.  ``residual`` is NaN: it
-    stays only because the benchmark's tracer reads it, and goes together
-    with ``lambda_min_power`` once the tracer drops both."""
+    """Extreme singular values of a sample matrix and the Gram they came from.
+    ``residual`` is NaN: it stays only because the benchmark's tracer reads
+    it, and goes with ``lambda_min_power`` once the tracer drops both."""
 
     lambda_min: float
     lambda_max: float
     residual: float = math.nan
+    gram: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def assemble(spec: DistributionSpec, N: int, seed: int | SeedRecord) -> SampleMatrix:
@@ -118,29 +118,12 @@ def assemble(spec: DistributionSpec, N: int, seed: int | SeedRecord) -> SampleMa
     return SampleMatrix(N=N, n=spec.n, values=rows, seed=record)
 
 
-def trial_matrix(spec: DistributionSpec, N: int, record: SeedRecord) -> SampleMatrix:
-    """The matrix a sweep trial solves: its Gram has the law of the Gram of
-    ``assemble(spec, N, record)``.
-
-    For gaussian-iid with N >= n this is the n x n lower-bidiagonal chi
-    model of the N x n Gaussian matrix (Silverstein 1985; Dumitriu and
-    Edelman 2002): from the record's substream, n chi-squares with df N,
-    N-1, ..., N-n+1, whose roots form the diagonal, then n-1 chi-squares
-    with df n-1, ..., 1, whose roots form the subdiagonal, all divided by
-    sqrt(N).  It takes 2n-1 draws instead of N*n.  Every other family, and
-    N < n, returns ``assemble(spec, N, record)``.
-    """
-    n = spec.n
-    if spec.family != "gaussian-iid" or N < n:
-        return assemble(spec, N, record)
-    diag, sub = chi_factor(n, N, record)
-    return SampleMatrix(N=n, n=n, values=np.diag(diag) + np.diag(sub, -1), seed=record)
-
-
 def chi_factor(n: int, N: int, record: SeedRecord) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal (n) and subdiagonal (n-1) of the bidiagonal chi factor
-    ``trial_matrix`` builds for a gaussian-iid trial with N >= n, drawn
-    from the record's substream in the order that docstring gives."""
+    """Diagonal (n) and subdiagonal (n-1) of the lower-bidiagonal chi factor
+    a gaussian-iid trial with N >= n solves, whose Gram has the law of the N
+    x n rows' Gram (Silverstein 1985; Dumitriu and Edelman 2002): the roots
+    of n chi-squares with df N, ..., N-n+1, then of n-1 with df n-1, ..., 1,
+    drawn from the record's substream and divided by sqrt(N)."""
     df = np.concatenate([float(N) - np.arange(n), np.arange(n - 1, 0, -1.0)])
     chi = np.sqrt(record.generator().chisquare(df))
     chi /= math.sqrt(N)
@@ -166,8 +149,8 @@ def lambda_extremes(m: SampleMatrix) -> SpectralResult:
 
     lambda_min is reported as exactly 0 when the Gram is singular to
     round-off: for N < n, and when its smallest eigenvalue is at most
-    n * eps * max|G|, the rule of ``lambda_min_power``.  A Gram's largest
-    entry sits on its diagonal, so that costs O(n).
+    n * eps * max|G|, the round-off level of a zero eigenvalue.  A Gram's
+    largest entry sits on its diagonal, so that costs O(n).
     """
     g = gram(m)
     vals = np.linalg.eigvalsh(g)
@@ -176,7 +159,7 @@ def lambda_extremes(m: SampleMatrix) -> SpectralResult:
         lam_min = 0.0
     else:
         lam_min = float(np.sqrt(vals[0]))
-    return SpectralResult(lambda_min=lam_min, lambda_max=lam_max)
+    return SpectralResult(lambda_min=lam_min, lambda_max=lam_max, gram=g)
 
 
 # half-width of an inertia bracket, in units of n * eps * max diag G
@@ -322,10 +305,10 @@ _POWER_MAX_ITER = 20000
 def lambda_min_power(m: SampleMatrix) -> float:
     """Smallest eigenvalue of the Gram matrix by inverse iteration.
 
-    The path of ``lminlab spectrum --power``, its only caller (compare
-    against lambda_min**2): the Gram is inverted once by LU, not by the
-    symmetric eigensolver.  Unshifted inverse iteration runs until the
-    Rayleigh quotient changes by at most ``_POWER_TOL`` (relative), then two
+    No command calls it; it stays while the benchmark's tracer binds it by
+    name.  The Gram is inverted once by LU, not by the symmetric
+    eigensolver.  Unshifted inverse iteration runs until the Rayleigh
+    quotient changes by at most ``_POWER_TOL`` (relative), then two
     Rayleigh-quotient steps, each a fresh shifted solve, polish the estimate
     and any error of the explicit inverse.  BLAS runs on one thread, so the
     result does not depend on the BLAS thread count.  A non-finite Gram

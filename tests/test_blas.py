@@ -209,19 +209,18 @@ def _sample_then_spectrum(tmp_path, n: str, N: str) -> list[list[str]]:
     matrix = tmp_path / f"m{n}.bin"
     return [
         ["sample", "--family", "gaussian-iid", "--n", n, "--N", N, "--seed", "2", "--out", str(matrix)],
-        ["spectrum", "--matrix", str(matrix), "--power", "--format", "json"],
+        ["spectrum", "--matrix", str(matrix), "--format", "json"],
     ]
 
 
 def test_estimator_output_independent_of_blas_threads(tmp_path):
     """``lminlab smallball``, ``lminlab rademacher --method mc`` and
-    ``lminlab spectrum --power`` on a sampled matrix write the same bytes for
-    every OPENBLAS_NUM_THREADS; each run is a fresh process because OpenBLAS
-    reads the variable when it loads.  The Rademacher case differed by 2 ulp
-    of ``value`` between one and two threads while its product ran threaded.
-    Unpinned, the eigensolve changed ``lambda_min`` and ``lambda_max`` of
-    the 100-column spectrum, and the inverse iteration changed
-    ``lambda_min_sq_power`` of the 200-column one."""
+    ``lminlab spectrum`` on sampled matrices of 100 and 200 columns write
+    the same bytes for every OPENBLAS_NUM_THREADS; each run is a fresh
+    process because OpenBLAS reads the variable when it loads.  The
+    Rademacher case differed by 2 ulp of ``value`` between one and two
+    threads while its product ran threaded.  Unpinned, the eigensolve
+    changed ``lambda_min`` and ``lambda_max`` of the 100-column spectrum."""
     commands = {
         "smallball": [
             ["smallball", "--family", "heavy-radial", "--n", "8", "--eta", "3", "--samples", "30000", "--seed", "2"]

@@ -32,11 +32,11 @@ def test_sample_then_spectrum(tmp_path, capsys):
     assert (m.N, m.n) == (32, 8)
 
     out = tmp_path / "spec.json"
-    rc = cli.main(["spectrum", "--matrix", str(matrix), "--power", "--format", "json", "--out", str(out)])
+    rc = cli.main(["spectrum", "--matrix", str(matrix), "--format", "json", "--out", str(out)])
     assert rc == 0
     payload = json.loads(out.read_text())
-    gap = abs(payload["lambda_min_sq_power"] - payload["lambda_min"] ** 2)
-    assert gap <= 1e-8 * payload["lambda_min"] ** 2
+    assert list(payload) == ["N", "n", "lambda_min", "lambda_max", "bracket_half_width"]
+    assert 0 < payload["bracket_half_width"] <= 1e-8 * payload["lambda_min"] ** 2
 
 
 def test_smallball_csv(tmp_path):
@@ -594,20 +594,22 @@ SPEC_ARGS = ["--family", "heavy-iid", "--n", "3", "--eta", "2"]
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, flag",
     [
-        ["sample", *SPEC_ARGS, "--N", "4", "--out", "m.bin"],
-        ["smallball", *SPEC_ARGS],
-        ["rademacher", *SPEC_ARGS, "--N", "4"],
-        ["bounds", "--regime", "tail", "--eta", "2", "--beta", "0.25", "--N", "100"],
+        pytest.param(["sample", *SPEC_ARGS, "--N", "4", "--out", "m.bin"], "--L 2", id="sample"),
+        pytest.param(["smallball", *SPEC_ARGS], "--L 2", id="smallball"),
+        pytest.param(["rademacher", *SPEC_ARGS, "--N", "4"], "--L 2", id="rademacher"),
+        pytest.param(["bounds", "--regime", "tail", "--eta", "2", "--beta", "0.25", "--N", "100"], "--L 2", id="bounds"),
+        pytest.param(["spectrum", "--matrix", "m.bin"], "--power", id="spectrum"),
     ],
-    ids=lambda argv: argv[0],
 )
-def test_tail_constant_flag_is_gone(capsys, argv):
+def test_tail_constant_flag_is_gone(capsys, argv, flag):
+    """Removed flags are usage errors: the tail constant ``--L`` of every
+    command that took it, and ``spectrum --power``."""
     with pytest.raises(SystemExit) as exc:
-        cli.main([*argv, "--L", "2"])
+        cli.main([*argv, *flag.split()])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --L 2" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 VALID_SECTIONS = {

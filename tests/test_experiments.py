@@ -204,20 +204,23 @@ def test_cli_sweep_never_imports_scipy(tmp_path, distribution):
 
 
 def test_verify_never_imports_scipy(tmp_path):
-    """``verify``, ``spectrum --power``, the heavy-radial tail and
-    ``vc_bruteforce`` on both classes run on numpy alone."""
+    """``verify``, ``spectrum``, the inverse iteration, the heavy-radial tail
+    and ``vc_bruteforce`` on both classes run on numpy alone."""
     code = (
         "import sys\n"
         "import numpy as np\n"
         "from lminlab import cli\n"
         "from lminlab import distributions as dist\n"
         "from lminlab import empirical_process as ep\n"
+        "from lminlab import spectrum as sp\n"
         "assert 'scipy' not in sys.modules, 'import'\n"
         "assert cli.main(['verify', '--budget', '10']) == 0\n"
         "assert 'scipy' not in sys.modules, 'verify'\n"
         "assert cli.main(['sample', '--family', 'gaussian-iid', '--n', '4', '--N', '9', '--out', 'm.bin']) == 0\n"
-        "assert cli.main(['spectrum', '--matrix', 'm.bin', '--power']) == 0\n"
-        "assert 'scipy' not in sys.modules, 'spectrum --power'\n"
+        "assert cli.main(['spectrum', '--matrix', 'm.bin']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'spectrum'\n"
+        "assert sp.lambda_min_power(sp.SampleMatrix.load('m.bin')) > 0.0\n"
+        "assert 'scipy' not in sys.modules, 'lambda_min_power'\n"
         "tail = dist.theoretical_tail(dist.DistributionSpec('heavy-radial', 8, eta=5.0), 0.5)\n"
         "assert 0.0 < tail < 1.0 and 'scipy' not in sys.modules, 'heavy-radial tail'\n"
         "assert ep.vc_bruteforce(np.random.default_rng(3).standard_normal((5, 2)), 'halfspaces') == 3\n"
@@ -335,8 +338,8 @@ def test_gaussian_sweep_forms_no_gram(monkeypatch):
 
 def test_gaussian_rows_do_not_depend_on_blocks_or_threads(monkeypatch):
     """A gaussian-iid row holds the same Python floats for every block size
-    and --threads, and they are ``bidiagonal_extremes`` of the diagonals of
-    the trial's ``trial_matrix``."""
+    and --threads, and they are ``bidiagonal_extremes`` of the trial's
+    ``chi_factor``."""
     cfg = small_config(beta_grid=(0.5, 0.25, 1.0), trials=11)
     reference = ex.run_sweep(cfg)
     for block, threads in ((1, 1), (4, 2), (11, 8), (256, 1)):
@@ -345,8 +348,8 @@ def test_gaussian_rows_do_not_depend_on_blocks_or_threads(monkeypatch):
     for row in reference.rows:
         assert type(row.lambda_min) is float and type(row.lambda_max) is float
         b = cfg.beta_grid.index(row.beta)
-        m = ex.sp.trial_matrix(cfg.spec, row.N, SeedRecord(cfg.seed, b, row.trial))
-        lmin, lmax = ex.sp.bidiagonal_extremes(np.diag(m.values)[None], np.diag(m.values, -1)[None])
+        diag, sub = ex.sp.chi_factor(cfg.spec.n, row.N, SeedRecord(cfg.seed, b, row.trial))
+        lmin, lmax = ex.sp.bidiagonal_extremes(diag[None], sub[None])
         assert (row.lambda_min, row.lambda_max) == (lmin[0], lmax[0])
 
 

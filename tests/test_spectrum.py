@@ -8,6 +8,7 @@ import pytest
 
 from lminlab import blas, cli
 from lminlab import distributions as dist
+from lminlab import experiments as ex
 from lminlab import spectrum as sp
 from lminlab.errors import InvalidInputError, InvalidParameterError
 from lminlab.streams import SeedRecord
@@ -174,15 +175,18 @@ def test_power_iteration_duplicated_column_battery():
             sp.lambda_min_power(_matrix(values))
 
 
-def test_spectrum_power_on_wide_matrix_exits_2(tmp_path, capsys):
-    """N < n: the Gram is singular, so ``--power`` has no eigenvalue to report."""
+def test_wide_matrix_has_no_power_eigenvalue_and_spectrum_reports_zero(tmp_path, capsys):
+    """N < n: the Gram is singular, so the inverse iteration has no
+    eigenvalue to report, and ``lminlab spectrum`` reports lambda_min 0."""
     matrix = tmp_path / "m.bin"
     argv = ["sample", "--family", "gaussian-iid", "--n", "10", "--N", "4", "--seed", "1", "--out", str(matrix)]
     assert cli.main(argv) == 0
+    with pytest.raises(InvalidInputError, match="gram"):
+        sp.lambda_min_power(sp.SampleMatrix.load(matrix))
     capsys.readouterr()
-    assert cli.main(["spectrum", "--matrix", str(matrix), "--power"]) == 2
+    assert cli.main(["spectrum", "--matrix", str(matrix), "--format", "json"]) == 0
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: gram") and captured.out == ""
+    assert json.loads(captured.out)["lambda_min"] == 0.0 and captured.err == ""
 
 
 @pytest.mark.filterwarnings("error")
@@ -226,6 +230,26 @@ def test_spectrum_reports_the_bracket_half_width(tmp_path):
     with blas._single_threaded_blas:
         width = sp._BRACKET_K * m.n * np.finfo(float).eps * sp.gram(m).diagonal().max()
     assert _spectrum_json(tmp_path, m)["bracket_half_width"] == width
+
+
+def test_each_certified_solve_forms_one_gram(tmp_path, monkeypatch, capsys):
+    """``verify``'s spectral check and ``lminlab spectrum`` bracket the Gram
+    that ``lambda_extremes`` formed, not a second one."""
+    calls = []
+    original = sp.gram
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(sp, "gram", counting)
+    assert ex.verify_suite(100).ok
+    assert len(calls) == 100
+    calls.clear()
+    path = tmp_path / "m.bin"
+    _healthy_matrix().save(path)
+    assert cli.main(["spectrum", "--matrix", str(path), "--format", "json"]) == 0
+    assert len(calls) == 1 and json.loads(capsys.readouterr().out)["bracket_half_width"] is not None
 
 
 @pytest.mark.parametrize("end", [0, -1], ids=["smallest", "largest"])
@@ -283,13 +307,16 @@ def test_gram_singular_to_round_off_reports_exact_zero():
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("column", ["zero", "duplicate"])
-def test_spectrum_power_singular_gram_exits_2(tmp_path, capsys, column):
-    """A singular Gram is an input error, reported without a warning."""
+def test_spectrum_singular_gram_reports_zero(tmp_path, capsys, column):
+    """A singular Gram, which the inverse iteration refuses
+    (``test_power_iteration_singular_gram``), has lambda_min 0 and brackets
+    there, reported without a warning."""
     path = tmp_path / "m.bin"
     _singular(column).save(path)
-    assert cli.main(["spectrum", "--matrix", str(path), "--power"]) == 2
+    assert cli.main(["spectrum", "--matrix", str(path), "--format", "json"]) == 0
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: gram not invertible") and captured.err.count("\n") == 1
+    payload = json.loads(captured.out)
+    assert payload["lambda_min"] == 0.0 and payload["bracket_half_width"] is not None and captured.err == ""
 
 
 def test_gaussian_median_near_asymptotic_edge():
@@ -356,8 +383,7 @@ def test_trial_matrix_has_the_law_of_the_gaussian_rows(n, N):
     E tr W^2 = nN(N+n+1)."""
     from scipy import stats
 
-    spec = dist.DistributionSpec("gaussian-iid", n)
-    factors = np.stack([sp.trial_matrix(spec, N, SeedRecord(17, 0, t)).values for t in range(_LAW_TRIALS)])
+    factors = np.stack([_dense(*sp.chi_factor(n, N, SeedRecord(17, 0, t))) for t in range(_LAW_TRIALS)])
     rows = np.random.default_rng(18).standard_normal((_LAW_TRIALS, N, n)) / math.sqrt(N)
     w_factor = N * np.matmul(factors.transpose(0, 2, 1), factors)
     w_rows = N * np.matmul(rows.transpose(0, 2, 1), rows)
@@ -371,42 +397,20 @@ def test_trial_matrix_has_the_law_of_the_gaussian_rows(n, N):
         assert abs(sample.mean() - exact) <= 4 * sample.std(ddof=1) / math.sqrt(_LAW_TRIALS)
 
 
-def test_trial_matrix_structure_and_fallback():
-    spec = dist.DistributionSpec("gaussian-iid", 6)
-    record = SeedRecord(4, 1, 2)
-    m = sp.trial_matrix(spec, 50, record)
-    assert (m.N, m.n, m.values.shape, m.seed) == (6, 6, (6, 6), record)
-    assert np.all(np.isfinite(m.values)) and np.all(np.diag(m.values) > 0)
-    assert np.all(np.diag(m.values, -1) > 0)
-    assert np.array_equal(m.values, np.tril(np.triu(m.values, -1)))
-    assert np.array_equal(m.values, sp.trial_matrix(spec, 50, SeedRecord(4, 1, 2)).values)
-    assert not np.array_equal(m.values, sp.trial_matrix(spec, 50, SeedRecord(4, 1, 3)).values)
-    for spec, N in (
-        (dist.DistributionSpec("gaussian-iid", 6), 4),
-        (dist.DistributionSpec("heavy-radial", 6, eta=5.0), 50),
-        (dist.DistributionSpec("atomic-mixture", 6, mixture_p=0.3), 50),
-    ):
-        m = sp.trial_matrix(spec, N, record)
-        direct = sp.assemble(spec, N, record)
-        assert (m.N, m.n, m.seed) == (direct.N, direct.n, direct.seed)
-        assert m.values.tobytes() == direct.values.tobytes()
-
-
-def _diagonals(spec, N, record):
-    m = sp.trial_matrix(spec, N, record)
-    return m, np.diag(m.values), np.diag(m.values, -1)
+def _dense(diag, sub):
+    """The n x n lower-bidiagonal factor with this diagonal and subdiagonal."""
+    return np.diag(diag) + np.diag(sub, -1)
 
 
 @pytest.mark.parametrize("n, N", [(100, 1600), (40, 40), (12, 24), (2, 5), (1, 1)])
 def test_bidiagonal_extremes_match_svd(n, N):
     """Over 300 seeded chi factors, both squared extremes are within
     4 * n * eps * sigma_max^2 of the singular values numpy's SVD gives."""
-    spec = dist.DistributionSpec("gaussian-iid", n)
-    factors = [_diagonals(spec, N, SeedRecord(29, 0, t)) for t in range(300)]
-    lmin, lmax = sp.bidiagonal_extremes(np.array([f[1] for f in factors]), np.array([f[2] for f in factors]))
+    factors = [sp.chi_factor(n, N, SeedRecord(29, 0, t)) for t in range(300)]
+    lmin, lmax = sp.bidiagonal_extremes(np.array([f[0] for f in factors]), np.array([f[1] for f in factors]))
     eps = np.finfo(float).eps
-    for (m, _, _), lo, hi in zip(factors, lmin, lmax):
-        sigma = np.linalg.svd(m.values, compute_uv=False)
+    for factor, lo, hi in zip(factors, lmin, lmax):
+        sigma = np.linalg.svd(_dense(*factor), compute_uv=False)
         bound = 4 * n * eps * sigma[0] ** 2
         assert abs(lo**2 - sigma[-1] ** 2) <= bound
         assert abs(hi**2 - sigma[0] ** 2) <= bound
@@ -468,9 +472,17 @@ def test_bidiagonal_extremes_validates():
 
 
 def test_chi_factor_is_the_trial_matrix():
-    spec = dist.DistributionSpec("gaussian-iid", 7)
+    """A gaussian-iid trial's matrix, the chi factor: a positive diagonal and
+    subdiagonal, the roots of the record's chi-squares with df N, ...,
+    N-n+1 then n-1, ..., 1 over sqrt(N), the same for the same record and
+    different for another."""
     record = SeedRecord(8, 2, 3)
-    m, diag, sub = _diagonals(spec, 20, record)
-    a, b = sp.chi_factor(7, 20, record)
-    assert a.tobytes() == diag.tobytes() and b.tobytes() == sub.tobytes()
-    assert m.values.tobytes() == (np.diag(a) + np.diag(b, -1)).tobytes()
+    diag, sub = sp.chi_factor(7, 20, record)
+    assert diag.shape == (7,) and sub.shape == (6,)
+    assert np.all(np.isfinite(diag)) and np.all(diag > 0) and np.all(sub > 0)
+    df = [20, 19, 18, 17, 16, 15, 14, 6, 5, 4, 3, 2, 1]
+    chi = np.sqrt(record.generator().chisquare(np.array(df, dtype=float))) / math.sqrt(20)
+    assert np.concatenate([diag, sub]).tobytes() == chi.tobytes()
+    again, other = sp.chi_factor(7, 20, SeedRecord(8, 2, 3)), sp.chi_factor(7, 20, SeedRecord(8, 2, 4))
+    assert np.array_equal(again[0], diag) and np.array_equal(again[1], sub)
+    assert not np.array_equal(other[0], diag)
