@@ -78,6 +78,8 @@ def rademacher_linear(
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.size == 0:
         raise InvalidInputError(f"rows must be a nonempty 2-D array, got shape {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise InvalidInputError("rows must be finite")
     N = rows.shape[0]
     if method not in ("auto", "exact", "mc"):
         raise InvalidParameterError(f"unknown method {method!r}")

@@ -5,8 +5,11 @@ report carries both sides of a sandwich:
 
 - upper: a direction-search minimum of the empirical tail (a search over a
   subset of the sphere can only overestimate the infimum);
-- lower: the Paley-Zygmund bound (1 - u/alpha)^2 (1/beta_p)^2 from the
-  moment ratios at p = 2, certified when alpha and beta_p are.
+- lower: the Paley-Zygmund bound (alpha - u)^2, where alpha = inf_t E|<X,t>|.
+  Every family is isotropic, E<X,t>^2 = 1, so alpha is the bound's only
+  input.  It is exact on a spec, where alpha comes by quadrature, and only
+  an estimate on samples, where a direction search can only overestimate
+  the infimum alpha.
 
 Search strategy (deterministic under a fixed seed): 80% of the direction
 budget goes to uniform random directions, then the 2n signed coordinate
@@ -18,27 +21,25 @@ refinement noise, n normals per step, before it projects anything.  Every
 step draws its noise whatever the objective values, so the draws of a search
 are fixed by its shapes alone.  A curve draws its base pool and the noise of
 every grid point's refinement (grid order, then step order), and then its
-moment ratios draw theirs.  Since nothing after that touches the generator,
+alpha search draws its own.  Since nothing after that touches the generator,
 the curve runs ``moment_ratios`` on a one-worker thread beside its own tail
 search and joins it: the two share only the read-only samples, and the
 output and the generator's final state are those of running them one after
 the other, on any number of cores.
 
 Memory: every statistic over a direction set (tail fractions, means of
-|<X,t>| and |<X,t>|^2) is accumulated by walking the samples in row blocks
-of at most ``_BLOCK_ELEMENTS`` projections, written into buffers reused
-from block to block, so no samples x directions matrix is built.  The tail
-counter adds one byte per projection and grid point.  A curve projects each
-direction once: its base pool, then only the refinement candidates, then
-the pool of its moment ratios; with the moment ratios on the worker, two
-sets of block buffers are alive at once.  The blocks and the refinement
-steps run with BLAS pinned to one thread, so seeded output does not depend
-on the BLAS thread count.
+|<X,t>|) is accumulated by walking the samples in row blocks of at most
+``_BLOCK_ELEMENTS`` projections, written into buffers reused from block to
+block, so no samples x directions matrix is built.  The tail counter adds
+one byte per projection and grid point.  A curve projects each direction
+once: its base pool, then only the refinement candidates, then the pool of
+its alpha search; with that search on the worker, two sets of block buffers
+are alive at once.  The blocks and the refinement steps run with BLAS pinned
+to one thread, so seeded output does not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -61,6 +62,8 @@ def _as_samples(samples) -> np.ndarray:
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] == 0:
         raise InvalidInputError(f"samples must be a nonempty 2-D array, got shape {samples.shape}")
+    if not np.isfinite(samples).all():
+        raise InvalidInputError("samples must be finite")
     return samples
 
 
@@ -97,22 +100,21 @@ def _perturb(best: np.ndarray, scale: float, noise: np.ndarray) -> np.ndarray:
     return cand / norm
 
 
-def _refine(chains: list, noise: np.ndarray) -> list:
-    """Greedy local refinement of ``[objective, best value, best direction]`` chains.
+def _refine(chain: list, noise: np.ndarray) -> list:
+    """Greedy local refinement of an ``[objective, best value, best direction]`` chain.
 
     Step k adds row k of ``noise`` (standard normals, one row per step) to
-    the best direction of chain k mod len(chains), at a scale that decays
-    every step, normalizes, and keeps the candidate when its objective is
-    strictly lower.  The chains are updated in place; the candidates are
-    returned in step order.  The objectives run under the single-thread
-    BLAS pin: a threaded product of the samples with one direction spends a
-    second core without saving wall time.
+    the best direction, at a scale that decays every step, normalizes, and
+    keeps the candidate when its objective is strictly lower.  The chain is
+    updated in place; the candidates are returned in step order.  The
+    objectives run under the single-thread BLAS pin: a threaded product of
+    the samples with one direction spends a second core without saving wall
+    time.
     """
     scale = _REFINE_SCALE0
     cands = []
     with blas._single_threaded_blas:
-        for k, step_noise in enumerate(noise):
-            chain = chains[k % len(chains)]
+        for step_noise in noise:
             cand = _perturb(chain[2], scale, step_noise)
             val = chain[0](cand)
             if val < chain[1]:
@@ -126,37 +128,33 @@ class _Marginals(NamedTuple):
     """Statistics of the marginals |<X_i, d>| over the rows X_i, per direction d."""
 
     tail: np.ndarray  # (len(us), D): fraction of rows with |<X_i, d>| >= u
-    l1: np.ndarray | None  # (D,): mean of |<X_i, d>|, when moments were asked for
-    l2sq: np.ndarray | None  # (D,): mean of |<X_i, d>|^2, when moments were asked for
+    l1: np.ndarray | None  # (D,): mean of |<X_i, d>|, when it was asked for
 
 
-def _marginals(samples: np.ndarray, dirs: np.ndarray, us=(), moments: bool = False) -> _Marginals:
-    """Tail fractions at each u and, when ``moments`` is set, the means of
-    |<X_i, d>| and |<X_i, d>|^2, for every direction d (a row of ``dirs``).
+def _marginals(samples: np.ndarray, dirs: np.ndarray, us=(), l1: bool = False) -> _Marginals:
+    """Tail fractions at each u and, when ``l1`` is set, the mean of
+    |<X_i, d>|, for every direction d (a row of ``dirs``).
 
     The samples are walked in row blocks under the single-thread BLAS pin.
     The tails are counted exactly in integers: a block's comparisons at
     every u go into one reused byte buffer, whose rows are folded onto its
     first half, in place, while no cell can pass 255, and the few rows left
-    are added in int64.  Each moment statistic has one buffer whose row 0
-    holds its running sum and whose next rows take a block's values, so one
-    sum over axis 0 adds the rows one at a time in sample order, as a mean
-    over axis 0 of the whole projection matrix does, and the means equal
-    that one bit for bit.  A single direction is the exception: numpy sums
-    one column pairwise, so its means agree with the dense one only to
-    round-off.  The squares come from ``np.power(proj, 2.0)``, the ufunc
-    that ``proj ** 2.0`` runs.
+    are added in int64.  The projections go into rows 1.. of one buffer
+    whose row 0 holds the running sum of |<X_i, d>|, so one sum over axis 0
+    adds the rows one at a time in sample order, as a mean over axis 0 of
+    the whole projection matrix does, and the means equal that one bit for
+    bit.  A single direction is the exception: numpy sums one column
+    pairwise, so its mean agrees with the dense one only to round-off.
     """
     N, D = samples.shape[0], dirs.shape[0]
     us = np.asarray(us, dtype=float)[:, None, None]
     counts = np.zeros((len(us), D), dtype=np.int64)
-    sums = powers = hits = None
+    sums = hits = None
     with blas._single_threaded_blas:
         for rows in blas.row_blocks(N, D, _BLOCK_ELEMENTS):
             end = rows.stop - rows.start + 1
             if sums is None:  # the first block is the longest
                 sums = np.zeros((end, D))
-                powers = np.zeros_like(sums) if moments else None
                 hits = np.empty((len(us), end - 1, D), dtype=np.uint8)
             proj = sums[1:end]
             np.matmul(samples[rows], dirs.T, out=proj)
@@ -169,13 +167,9 @@ def _marginals(samples: np.ndarray, dirs: np.ndarray, us=(), moments: bool = Fal
                     hits[:, :k] += hits[:, r - k : r]
                     r, most = r - k, 2 * most
                 counts += hits[:, :r].sum(axis=1, dtype=np.int64)
-            if moments:
-                np.power(proj, 2.0, out=powers[1:end])
+            if l1:
                 sums[0] = sums[:end].sum(axis=0)
-                powers[0] = powers[:end].sum(axis=0)
-    if not moments:
-        return _Marginals(counts / N, None, None)
-    return _Marginals(counts / N, sums[0] / N, powers[0] / N)
+    return _Marginals(counts / N, sums[0] / N if l1 else None)
 
 
 def _abs_projection(samples: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -206,19 +200,17 @@ def q_inf_search(
     pool, n_refine = _base_pool(samples.shape[1], budget, rng)
     noise = rng.standard_normal((n_refine, samples.shape[1]))
     chain = _tail_chain(samples, _marginals(samples, pool, [u]).tail[0], pool, u)
-    _refine([chain], noise)
+    _refine(chain, noise)
     return chain[1], chain[2]
 
 
 @dataclass(frozen=True)
 class MomentRatios:
-    """alpha = inf of L1 norms over directions; beta_p = sup of L2/L1 ratios
-    (the moment order is p = 2)."""
+    """alpha = inf of the L1 norms E|<X,t>| of the marginals over directions t,
+    and, on samples, the direction where the search found it."""
 
     alpha: float
-    beta_p: float
     alpha_dir: np.ndarray | None = None
-    beta_dir: np.ndarray | None = None
 
 
 def moment_ratios(
@@ -226,69 +218,41 @@ def moment_ratios(
     budget: int = 256,
     rng: np.random.Generator | int | None = None,
 ) -> MomentRatios:
-    """Moment ratios of linear marginals at p = 2, by quadrature or direction
-    search.
+    """alpha of linear marginals, by quadrature or direction search.
 
     A ``DistributionSpec`` takes the analytic path (rotation-invariant
-    families only, where coordinate quadrature equals the sphere extremes).
-    An array of samples takes the empirical path: alpha from a direction
-    search minimizing the empirical L1 norm, beta_p from a search maximizing
-    the empirical L2/L1 ratio.  A direction with empirical L1 norm 0 gives
-    alpha = 0.
+    families only, where coordinate quadrature equals the sphere extreme).
+    An array of samples takes the empirical path: one refinement chain
+    minimizing the empirical L1 norm from the best direction of the pool.
+    A direction with empirical L1 norm 0 gives alpha = 0.
     """
     if isinstance(source, DistributionSpec):
         if not source.rotation_invariant:
             raise UnsupportedQueryError(
                 f"{source.family} is not rotation-invariant; use the empirical path"
             )
-        alpha = marginal_abs_moment(source, 1.0)
-        l2 = marginal_abs_moment(source, 2.0) ** 0.5
-        return MomentRatios(alpha=alpha, beta_p=l2 / alpha)
+        return MomentRatios(alpha=marginal_abs_moment(source, 1.0))
 
     samples = _as_samples(source)
     rng = as_generator(rng)
     pool, n_refine = _base_pool(samples.shape[1], budget, rng)
     noise = rng.standard_normal((n_refine, samples.shape[1]))
-
-    def neg_ratio_of(d: np.ndarray) -> float:
-        # beta_p is maximized as the minimum of -ratio; a degenerate or
-        # overflowing direction is never kept.
-        proj = _abs_projection(samples, d)
-        l1 = proj.mean()
-        if l1 == 0:
-            return math.inf
-        ratio = float(np.power(proj, 2.0, out=proj).mean() ** 0.5 / l1)
-        return -ratio if math.isfinite(ratio) else math.inf
-
-    marginals = _marginals(samples, pool, moments=True)
-    l1s = marginals.l1
-    l2s = marginals.l2sq**0.5
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(l1s > 0, l2s / l1s, math.inf)
-
+    l1s = _marginals(samples, pool, l1=True).l1
     ai = int(np.argmin(l1s))
-    bi = int(np.argmax(np.where(np.isfinite(ratios), ratios, -math.inf)))
-    beta = float(ratios[bi])
-    if not np.isfinite(beta):  # every direction degenerate
-        beta = math.inf
-    alpha_chain = [lambda d: float(_abs_projection(samples, d).mean()), float(l1s[ai]), pool[ai]]
-    beta_chain = [neg_ratio_of, -beta, pool[bi]]
-    _refine([alpha_chain, beta_chain], noise)
-    _, alpha, alpha_dir = alpha_chain
-    beta, beta_dir = -beta_chain[1], beta_chain[2]
-    return MomentRatios(alpha=alpha, beta_p=beta, alpha_dir=alpha_dir, beta_dir=beta_dir)
+    chain = [lambda d: float(_abs_projection(samples, d).mean()), float(l1s[ai]), pool[ai]]
+    _refine(chain, noise)
+    return MomentRatios(alpha=chain[1], alpha_dir=chain[2])
 
 
 def paley_zygmund_lower(ratios: MomentRatios, u: float) -> float:
-    """Paley-Zygmund lower bound (1 - u/alpha)^2 (1/beta_p)^2 on Q(u).
+    """Paley-Zygmund lower bound max(alpha - u, 0)^2 on Q(u) for isotropic X.
 
-    Vacuous (0) when u >= alpha, alpha = 0 or beta_p is infinite.
+    For Z = |<X,t>| with E Z^2 = 1, P{Z >= u} >= (E Z - u)^2 when u <= E Z;
+    the bound is vacuous (0) when u >= alpha.
     """
-    if u < 0:
+    if not u >= 0:
         raise InvalidParameterError(f"u must be >= 0, got {u}")
-    if ratios.alpha <= 0 or u >= ratios.alpha or not math.isfinite(ratios.beta_p):
-        return 0.0
-    return float((1.0 - u / ratios.alpha) ** 2.0 * (1.0 / ratios.beta_p) ** 2.0)
+    return float(max(ratios.alpha - u, 0.0) ** 2)
 
 
 @dataclass(frozen=True)
@@ -345,7 +309,7 @@ def small_ball_curve(
         if per_u > 0:
             cands = np.vstack(
                 [
-                    _refine([_tail_chain(samples, fracs, pool, u)], u_noise)
+                    _refine(_tail_chain(samples, fracs, pool, u), u_noise)
                     for u, fracs, u_noise in zip(u_grid, tails, noise)
                 ]
             )

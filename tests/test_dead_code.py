@@ -1,4 +1,5 @@
-"""Every function, class and method of the package is reached from the package."""
+"""Every function, class and method of the package is reached from the
+package, and every module-level import of a module is used in it."""
 
 import ast
 from pathlib import Path
@@ -51,3 +52,24 @@ def test_every_definition_is_named_in_the_package():
         named.update(_names(tree))
     unreferenced = {name: qualified for qualified, name in defined if name not in named}
     assert sorted(unreferenced) == sorted(UNREFERENCED), unreferenced
+
+
+def _imported(tree):
+    """(bound name, line) of each module-level import of a module, the
+    ``__future__`` switches aside."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for path in sorted(Path(lminlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in _imported(tree) if name not in loaded]
+    assert unused == []

@@ -1,5 +1,6 @@
 """Tests for the linear-class Rademacher complexity estimator."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from recorded_samples import recorded_sample_matrix
 
 from lminlab import distributions as dist
 from lminlab import rademacher as rad
-from lminlab.errors import InvalidParameterError
+from lminlab.errors import InvalidInputError, InvalidParameterError
 
 
 def test_single_row_unit_vector():
@@ -93,6 +94,15 @@ def test_exact_cap_enforced():
 def test_mc_refuses_draws_beyond_array_limit():
     with pytest.raises(InvalidParameterError, match="array size limit"):
         rad.rademacher_linear(np.ones((20, 2)), draws=10**20, method="mc")
+
+
+@pytest.mark.parametrize("method", ["exact", "mc"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_rows_refused(method, bad):
+    rows = np.ones((12, 2))
+    rows[5, 0] = bad
+    with pytest.raises(InvalidInputError, match="finite"):
+        rad.rademacher_linear(rows, draws=100, rng=1, method=method)
 
 
 # Monte Carlo estimates as they were before the signs were drawn in blocks,
