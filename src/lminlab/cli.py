@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 
@@ -248,7 +249,11 @@ def cmd_fit(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it takes milliseconds that every in-process
+    ``main`` call would pay again."""
     parser = argparse.ArgumentParser(prog="lminlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

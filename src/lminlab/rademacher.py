@@ -9,20 +9,27 @@ so no direction search is needed.  For N <= 14 the expectation over sign
 vectors is enumerated exactly (2^N terms); otherwise it is a Monte Carlo
 average.  Generic-class Rademacher estimation is out of scope.
 
-The Monte Carlo path draws its sign vectors in blocks of at most
-``_BLOCK_ELEMENTS`` signs, with BLAS pinned to one thread, so its memory does
-not grow with draws x N and its output does not depend on the BLAS thread
-count.  Every block's signs are written by ``streams.fill_signs`` into one
-float buffer, so the path holds one sign block and one chunk of draws: a
+The Monte Carlo path draws its sign vectors in blocks, with BLAS pinned to
+one thread, so its memory does not grow with draws x N and its output does
+not depend on the BLAS thread count.  A block holds as many signs as the
+sample has entries, but at least ``_BLOCK_ELEMENTS`` (1 MB) and at most
+``_MAX_BLOCK_ELEMENTS`` (8 MB): a small sample stays in cache however often
+the blocks re-read it, while a sample of 2^17 entries or more is read once
+per n rows of signs, up to 256 rows at N = 4096 (2000 draws on 4096 x 256
+rows took about 140 ms in 32-row blocks, 115 ms in 256-row ones).
+Every block's signs are written by ``streams.fill_signs`` into one float
+buffer, so the path holds one sign block and one chunk of integer draws: a
 fresh block array each time would be returned to the OS and faulted back in
 per block.  The blocks leave the generator in the state one call for all
 draws would, whatever their sizes, since it keeps the spare 32-bit half of
-an output in its state between calls.  Each block still has an even number
-of rows because the row count fixes the BLAS block layout, and the results
-pinned in the tests were recorded on that layout: the product rounds
-differently with other block lengths (on 2049 Gaussian rows in dimension 1,
-blocks of 511 rows instead of 510 move the estimate by one ulp; in
-dimension 4, blocks of 64 rows instead of 256 do).
+an output in its state between calls.  The products do depend on the block
+sizes, in their last bits.  Each block has an even number of rows because
+the results pinned in the tests were recorded on even blocks, and on
+OpenBLAS 0.3.31 a product of at most 10^6 multiply-adds takes the
+small-matrix kernel, which rounds differently from the blocked one.  So a
+block that lands on the other kernel under other block sizes can move an
+estimate by ulps (blocks of 2^17 signs instead of 2^20 moved 17 of 144
+(family, n <= 8, N, draws, seed) estimates, by one or two ulps each).
 """
 
 from __future__ import annotations
@@ -38,8 +45,11 @@ from .streams import as_generator, check_array_size, fill_signs
 
 EXACT_MAX_N = 14
 DEFAULT_DRAWS = 2000
-# signs held at once by the Monte Carlo path: a block of draws times N
-_BLOCK_ELEMENTS = 2**20
+# signs held at once by the Monte Carlo path (a block of draws times N): as
+# many as the sample has entries, but at least _BLOCK_ELEMENTS and at most
+# _MAX_BLOCK_ELEMENTS
+_BLOCK_ELEMENTS = 2**17
+_MAX_BLOCK_ELEMENTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -99,8 +109,9 @@ def rademacher_linear(
     rng = as_generator(rng)
     norms = np.empty(draws)
     buffer = np.empty((0, N))
+    block_elements = min(max(rows.size, _BLOCK_ELEMENTS), _MAX_BLOCK_ELEMENTS)
     with blas._single_threaded_blas:
-        for block in blas.row_blocks(draws, N, _BLOCK_ELEMENTS, multiple=2):
+        for block in blas.row_blocks(draws, N, block_elements, multiple=2):
             if len(buffer) < block.stop - block.start:
                 buffer = np.empty((block.stop - block.start, N))
             signs = fill_signs(rng, buffer[: block.stop - block.start])

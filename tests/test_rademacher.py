@@ -108,12 +108,14 @@ def test_non_finite_rows_refused(method, bad):
 # Monte Carlo estimates as they were before the signs were drawn in blocks,
 # when one (draws, N) sign matrix was drawn at once (recorded on numpy 2.4.6,
 # OpenBLAS 0.3.31, one BLAS thread): (N, draws, value, stderr, the
-# generator's next random()), floats in hex.  Heavy-radial rows, n = 8, drawn
-# with seed N by ``recorded_sample_matrix``; signs drawn with seed draws.  At N = 2049 a block holds 510
-# rows, so 1537 odd draws are three blocks and a ragged one of 7 rows, with
-# draws x N odd; N = 4095 takes 2000 draws in 7 blocks of 256 rows and one
-# of 208; N = 15 fits in one block.  With BLAS at two threads the dense
-# product gave value 0x1.f28aec8a575c2p-5 at N = 2049.
+# generator's next random()), floats in hex.  Heavy-radial rows, n = 8,
+# drawn with seed N by ``recorded_sample_matrix``; signs drawn with seed
+# draws.  A block holds 2^17 signs: at N = 2049 that is 62 rows, so 1537
+# odd draws are 24 blocks and a ragged one of 49 rows, with draws x N odd;
+# N = 4095 takes 2000 draws in 62 blocks of 32 rows and one of 16; N = 15
+# fits in one block.  The values held unchanged through blocks of 2^20
+# signs (510 and 256 rows) and of 2^17.  With BLAS at two threads the
+# dense product gave value 0x1.f28aec8a575c2p-5 at N = 2049.
 MC_PINS = [
     (2049, 1537, "0x1.f28aec8a575c0p-5", "0x1.a241e0c46e133p-12", "0x1.ca8f47f64d19cp-2"),
     (4095, 2000, "0x1.5c928722b8b04p-5", "0x1.fad352d06da04p-13", "0x1.7a7e9b61b428cp-3"),
@@ -138,16 +140,42 @@ def test_blocked_mc_leaves_generator_as_one_dense_draw(N, draws):
     assert blocked.integers(0, 2**63) == dense.integers(0, 2**63)
 
 
-def test_mc_memory_bounded_by_block():
-    """The dense path held 2000 x 4096 signs as int64 and as float (about
-    131 MB at its peak); the blocked one holds one 256-row sign buffer and
-    one chunk of integer draws, about 8.7 MB at its peak (16.9 MB while each
-    block's integers were drawn at once)."""
-    rows = dist.sample_matrix(dist.DistributionSpec("heavy-radial", 8, eta=3.0), 4096, np.random.default_rng(5))
+def _mc_peak_bytes(n):
+    """tracemalloc's peak over a 2000-draw Monte Carlo on 4096 rows in
+    dimension ``n``."""
+    rows = dist.sample_matrix(dist.DistributionSpec("heavy-radial", n, eta=3.0), 4096, np.random.default_rng(5))
     tracemalloc.start()
     try:
         rad.rademacher_linear(rows, draws=2000, rng=1, method="mc")
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10e6, peak
+
+
+def test_mc_memory_bounded_by_block():
+    """The dense path held 2000 x 4096 signs as int64 and as float (about
+    131 MB at its peak); the blocked one holds one 32-row sign buffer and
+    one chunk of integer draws, about 1.4 MB at its peak (8.7 MB while a
+    block held 2^20 signs)."""
+    peak = _mc_peak_bytes(8)
+    assert peak < 2e6, peak
+
+
+def test_mc_memory_bounded_by_block_in_dimension_one():
+    """On a sample of fewer than 2^17 entries a block's size does not depend
+    on the dimension: at n = 1 the peak is the same 1.4 MB (8.7 MB while a
+    block held 2^20 signs)."""
+    peak = _mc_peak_bytes(1)
+    assert peak < 2e6, peak
+
+
+@pytest.mark.parametrize("n,block_elements", [(1, 2**17), (2**14, 2**18), (2**17, 2**20)])
+def test_mc_block_holds_sample_size_within_bounds(monkeypatch, n, block_elements):
+    """A block holds as many signs as the sample has entries, within
+    [2^17, 2^20]: a large sample is read once per n rows of signs, not once
+    per 32."""
+    asked = []
+    row_blocks = rad.blas.row_blocks
+    monkeypatch.setattr(rad.blas, "row_blocks", lambda *args, **kw: asked.append(args) or row_blocks(*args, **kw))
+    rad.rademacher_linear(np.ones((16, n)), draws=4, rng=0, method="mc")
+    assert asked == [(4, 16, block_elements)]

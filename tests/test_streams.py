@@ -9,7 +9,7 @@ from lminlab.errors import InvalidParameterError
 
 CHUNK = streams._SIGN_CHUNK
 BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64, np.random.Philox, np.random.MT19937]
-SHAPES = [(1,), (3,), (1, 1), (257, 255), (CHUNK - 1,), (CHUNK,), (CHUNK + 1,), (2 * CHUNK + 1,), (3, CHUNK // 2 + 1)]
+SHAPES = [(1,), (3,), (1, 1), (257, 255), (CHUNK - 1,), (CHUNK,), (CHUNK + 1,), (2 * CHUNK + 1,), (3, CHUNK // 2 + 1), (0,), (0, 3)]
 
 
 def _state(rng):
